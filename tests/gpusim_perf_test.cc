@@ -7,6 +7,9 @@
 // simulated seconds — is BIT-IDENTICAL to the original per-call
 // accounting. Every golden below was captured from the pre-refactor
 // implementation and is compared with EXPECT_EQ, never near-equality.
+// The same contract holds the bitwise kernel to its per-width
+// predecessor: the two- and three-word configs and the level-trace sums
+// were captured from that kernel before it became one width-generic path.
 //
 // The arithmetic argument for why exact equality is achievable: all issue
 // costs in DeviceSpec are dyadic rationals (8.0, 32.0, 0.5, 0.125), so
@@ -53,9 +56,17 @@ struct Config {
   Strategy strategy;
   GroupingPolicy grouping;
   Variant variant;
+  // Groups above 64 instances make multi-word bitwise rows: 128 is two
+  // words (16-byte rows, segment-aligned), 192 is three (24-byte rows, on
+  // the aggregator's non-aligned path). Those configs run kWideSources.
+  int group_size = 16;
 };
 
-// 4 strategies x 3 groupings with defaults, plus targeted variants.
+constexpr int kNarrowSources = 48;
+constexpr int kWideSources = 384;
+
+// 4 strategies x 3 groupings with defaults, plus targeted variants, plus
+// the bitwise kernel at two and three status words per vertex.
 const Config kConfigs[] = {
     {Strategy::kSequential, GroupingPolicy::kInOrder, Variant::kDefault},
     {Strategy::kSequential, GroupingPolicy::kRandom, Variant::kDefault},
@@ -77,6 +88,20 @@ const Config kConfigs[] = {
     {Strategy::kBitwise, GroupingPolicy::kGroupBy, Variant::kForceTopDown},
     {Strategy::kJointTraversal, GroupingPolicy::kGroupBy,
      Variant::kMaxLevel3},
+    {Strategy::kBitwise, GroupingPolicy::kInOrder, Variant::kDefault, 128},
+    {Strategy::kBitwise, GroupingPolicy::kGroupBy, Variant::kDefault, 128},
+    {Strategy::kBitwise, GroupingPolicy::kGroupBy, Variant::kMsbfsReset, 128},
+    {Strategy::kBitwise, GroupingPolicy::kGroupBy,
+     Variant::kNoEarlyTermination, 128},
+    {Strategy::kBitwise, GroupingPolicy::kGroupBy, Variant::kForceTopDown,
+     128},
+    {Strategy::kBitwise, GroupingPolicy::kInOrder, Variant::kDefault, 192},
+    {Strategy::kBitwise, GroupingPolicy::kGroupBy, Variant::kDefault, 192},
+    {Strategy::kBitwise, GroupingPolicy::kGroupBy, Variant::kMsbfsReset, 192},
+    {Strategy::kBitwise, GroupingPolicy::kGroupBy,
+     Variant::kNoEarlyTermination, 192},
+    {Strategy::kBitwise, GroupingPolicy::kGroupBy, Variant::kForceTopDown,
+     192},
 };
 
 // Everything the simulation observably produces for one config, folded to
@@ -99,13 +124,21 @@ struct Observed {
   uint64_t bu_load_txn = 0, bu_store_txn = 0, bu_atomics = 0, bu_shared = 0;
   uint64_t fq_load_txn = 0, fq_store_txn = 0, fq_atomics = 0, fq_shared = 0;
   double td_seconds = 0.0, bu_seconds = 0.0, fq_seconds = 0.0;
+  // Level traces summed over every level of every group, and the bottom-up
+  // search-length distribution's count and sum.
+  int64_t edges_inspected = 0;
+  int64_t new_visits = 0;
+  int64_t private_fq_sum = 0;
+  int64_t jfq_size = 0;
+  int64_t search_count = 0;
+  double search_sum = 0.0;
 };
 
 EngineOptions OptionsFor(const Config& config, int threads) {
   EngineOptions options;
   options.strategy = config.strategy;
   options.grouping = config.grouping;
-  options.group_size = 16;
+  options.group_size = config.group_size;
   options.seed = 7;
   options.keep_depths = true;
   options.threads = threads;
@@ -180,6 +213,16 @@ Observed RunConfig(const graph::Csr& graph,
   observed.td_seconds = td.seconds;
   observed.bu_seconds = bu.seconds;
   observed.fq_seconds = fq.seconds;
+  for (const GroupResult& group : result.groups) {
+    for (const LevelTrace& level : group.trace.levels) {
+      observed.edges_inspected += level.edges_inspected;
+      observed.new_visits += level.new_visits;
+      observed.private_fq_sum += level.private_fq_sum;
+      observed.jfq_size += level.jfq_size;
+    }
+    observed.search_count += group.trace.bottom_up_search_lengths.count();
+    observed.search_sum += group.trace.bottom_up_search_lengths.sum();
+  }
   return observed;
 }
 
@@ -187,14 +230,18 @@ class Workload {
  public:
   Workload()
       : graph_(MakeRmatGraph(/*scale=*/10, /*edge_factor=*/8, /*seed=*/42)),
-        sources_(graph::SampleConnectedSources(graph_, 48, 2016)) {}
+        narrow_(graph::SampleConnectedSources(graph_, kNarrowSources, 2016)),
+        wide_(graph::SampleConnectedSources(graph_, kWideSources, 2016)) {}
 
   const graph::Csr& graph() const { return graph_; }
-  std::span<const graph::VertexId> sources() const { return sources_; }
+  std::span<const graph::VertexId> sources(const Config& config) const {
+    return config.group_size > 64 ? wide_ : narrow_;
+  }
 
  private:
   graph::Csr graph_;
-  std::vector<graph::VertexId> sources_;
+  std::vector<graph::VertexId> narrow_;
+  std::vector<graph::VertexId> wide_;
 };
 
 const Workload& SharedWorkload() {
@@ -230,6 +277,9 @@ std::string ConfigName(const Config& config) {
       name += "/max_level_3";
       break;
   }
+  if (config.group_size != 16) {
+    name += "/group=" + std::to_string(config.group_size);
+  }
   return name;
 }
 
@@ -263,13 +313,19 @@ void ExpectMatchesGolden(const Observed& observed, const Observed& golden,
   EXPECT_EQ(observed.td_seconds, golden.td_seconds);
   EXPECT_EQ(observed.bu_seconds, golden.bu_seconds);
   EXPECT_EQ(observed.fq_seconds, golden.fq_seconds);
+  EXPECT_EQ(observed.edges_inspected, golden.edges_inspected);
+  EXPECT_EQ(observed.new_visits, golden.new_visits);
+  EXPECT_EQ(observed.private_fq_sum, golden.private_fq_sum);
+  EXPECT_EQ(observed.jfq_size, golden.jfq_size);
+  EXPECT_EQ(observed.search_count, golden.search_count);
+  EXPECT_EQ(observed.search_sum, golden.search_sum);
 }
 
 TEST(GpusimPerfEquivalence, MatchesPreRefactorGoldensSerial) {
   const Workload& workload = SharedWorkload();
   for (size_t i = 0; i < std::size(kConfigs); ++i) {
     const Observed observed =
-        RunConfig(workload.graph(), workload.sources(), kConfigs[i],
+        RunConfig(workload.graph(), workload.sources(kConfigs[i]), kConfigs[i],
                   /*threads=*/1);
     ExpectMatchesGolden(observed, kGoldens[i],
                         ConfigName(kConfigs[i]) + "/threads=1");
@@ -280,7 +336,7 @@ TEST(GpusimPerfEquivalence, MatchesPreRefactorGoldensParallel) {
   const Workload& workload = SharedWorkload();
   for (size_t i = 0; i < std::size(kConfigs); ++i) {
     const Observed observed =
-        RunConfig(workload.graph(), workload.sources(), kConfigs[i],
+        RunConfig(workload.graph(), workload.sources(kConfigs[i]), kConfigs[i],
                   /*threads=*/8);
     ExpectMatchesGolden(observed, kGoldens[i],
                         ConfigName(kConfigs[i]) + "/threads=8");
@@ -296,7 +352,7 @@ TEST(GpusimPerfEquivalence, PrintGoldens) {
   std::printf("const Observed kGoldens[] = {\n");
   for (const Config& config : kConfigs) {
     const Observed o =
-        RunConfig(workload.graph(), workload.sources(), config, 1);
+        RunConfig(workload.graph(), workload.sources(config), config, 1);
     std::printf("    // %s\n", ConfigName(config).c_str());
     std::printf("    {0x%016llxULL, %a,\n",
                 static_cast<unsigned long long>(o.depth_checksum),
@@ -327,8 +383,14 @@ TEST(GpusimPerfEquivalence, PrintGoldens) {
                 static_cast<unsigned long long>(o.fq_store_txn),
                 static_cast<unsigned long long>(o.fq_atomics),
                 static_cast<unsigned long long>(o.fq_shared));
-    std::printf("     %a, %a, %a},\n", o.td_seconds, o.bu_seconds,
+    std::printf("     %a, %a, %a,\n", o.td_seconds, o.bu_seconds,
                 o.fq_seconds);
+    std::printf("     %lld, %lld, %lld, %lld, %lld, %a},\n",
+                static_cast<long long>(o.edges_inspected),
+                static_cast<long long>(o.new_visits),
+                static_cast<long long>(o.private_fq_sum),
+                static_cast<long long>(o.jfq_size),
+                static_cast<long long>(o.search_count), o.search_sum);
   }
   std::printf("};\n");
 }
