@@ -1,50 +1,14 @@
-// Microbenchmarks (google-benchmark) for the bitwise status array — the
-// inner loop of Section 6's optimization.
+// Microbenchmark (google-benchmark) of the joint status array's row scan —
+// the byte-per-instance inspection that Section 6's bitwise rows replace.
+// The bitwise kernel itself is timed end to end by gpusim_bench.
 #include <benchmark/benchmark.h>
 
-#include "ibfs/bitwise_status_array.h"
 #include "ibfs/status_array.h"
-#include "util/prng.h"
 
 namespace ibfs {
 namespace {
 
-void BM_BsaOrRow(benchmark::State& state) {
-  const int instances = static_cast<int>(state.range(0));
-  BitwiseStatusArray dst(1024, instances);
-  BitwiseStatusArray src(1024, instances);
-  Prng prng(1);
-  for (int i = 0; i < 2048; ++i) {
-    src.SetBit(static_cast<graph::VertexId>(prng.NextBounded(1024)),
-               static_cast<int>(prng.NextBounded(instances)));
-  }
-  graph::VertexId v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dst.OrRowFrom(v, src, (v + 7) % 1024));
-    v = (v + 1) % 1024;
-  }
-  state.SetItemsProcessed(state.iterations() * instances);
-}
-BENCHMARK(BM_BsaOrRow)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_BsaRowAllSet(benchmark::State& state) {
-  const int instances = static_cast<int>(state.range(0));
-  BitwiseStatusArray bsa(1024, instances);
-  for (int64_t v = 0; v < 1024; v += 2) {
-    for (int j = 0; j < instances; ++j) {
-      bsa.SetBit(static_cast<graph::VertexId>(v), j);
-    }
-  }
-  graph::VertexId v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bsa.RowAllSet(v));
-    v = (v + 1) % 1024;
-  }
-}
-BENCHMARK(BM_BsaRowAllSet)->Arg(64)->Arg(128);
-
-// The JSA equivalent of one inspection row scan, for comparison: byte
-// statuses of all instances of one vertex.
+// One inspection row scan: byte statuses of all instances of one vertex.
 void BM_JsaRowScan(benchmark::State& state) {
   const int instances = static_cast<int>(state.range(0));
   JointStatusArray jsa(1024, instances);

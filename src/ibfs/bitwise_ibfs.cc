@@ -68,10 +68,29 @@ class BitwiseRunner {
       std::copy(src.begin(), src.end(), dst.begin());
     }
   }
-  int64_t RunTopDownLevel(gpusim::KernelScope* scope);
-  int64_t RunBottomUpLevel(gpusim::KernelScope* scope);
+
+  // Every phase is one kernel templated on the row width: kW = 1 or 2
+  // (groups of up to 64 or 128 instances) compiles to fixed-width word
+  // loops, kW = 0 reads the runtime words_. Run() picks the instantiation
+  // once per group, so no per-neighbor code branches on the width.
+  template <int kW>
+  void RunLevels();
+  template <int kW>
+  void RunTopDownLevel(gpusim::KernelScope* scope);
+  template <int kW>
+  void RunBottomUpLevel(gpusim::KernelScope* scope);
+  template <int kW>
   void GenerateFrontier(gpusim::KernelScope* scope);
   void ChooseDirection();
+
+  template <int kW>
+  int Words() const {
+    return kW != 0 ? kW : words_;
+  }
+  // Valid bits of word w in a `words`-word row.
+  uint64_t ValidMask(int w, int words) const {
+    return w + 1 == words ? cur_.LastWordMask() : ~uint64_t{0};
+  }
 
   // Share mask of JFQ entry i (which instances claim it — the paper's
   // per-frontier __ballot variable).
@@ -122,6 +141,9 @@ class BitwiseRunner {
   int level_ = 1;
   bool bottom_up_ = false;
   bool finished_ = false;
+  // (vertex, instance) pairs discovered at the level that just ran,
+  // counted once by the fused sweep (the level kernels never popcount
+  // their updates for it).
   int64_t level_new_visits_ = 0;
   int64_t level_inspections_ = 0;
   int64_t pending_private_fq_sum_ = 0;
@@ -170,18 +192,22 @@ void BitwiseRunner::InitSources() {
   pending_private_fq_sum_ = n_;
 }
 
-int64_t BitwiseRunner::RunTopDownLevel(gpusim::KernelScope* scope) {
-  int64_t new_visits = 0;
+template <int kW>
+void BitwiseRunner::RunTopDownLevel(gpusim::KernelScope* scope) {
+  const int words = Words<kW>();
   if (options_.adjacency_cache) {
     scope->SetCtaSharedBytes(options_.cache_tile_bytes);
   }
-  // Status rows all share one transaction shape (words_ x 8 bytes); their
+  // Status rows all share one transaction shape (words x 8 bytes); their
   // loads run through the memoizing aggregator and drain at item
   // boundaries.
   gpusim::ContiguousRunAggregator row_loads(
-      words_, 8, device_->spec().transaction_bytes,
+      words, 8, device_->spec().transaction_bytes,
       device_->spec().warp_size);
   const bool uniform_rows = row_loads.UniformAligned();
+  uint64_t* const cw = cur_.MutableWords().data();
+  const uint64_t* const pw = prev_.Words().data();
+  uint64_t* const bm = changed_rows_bm_.data();
   for (size_t i = 0; i < jfq_.size(); ++i) {
     const VertexId f = jfq_[i];
     scope->BeginItem();
@@ -193,7 +219,7 @@ int64_t BitwiseRunner::RunTopDownLevel(gpusim::KernelScope* scope) {
     } else {
       row_loads.Observe(prev_.ElementIndex(f, 0));
     }
-    const auto mask_f = prev_.Row(f);
+    const uint64_t* const mask = pw + static_cast<int64_t>(f) * words;
 
     // Logical inspections: each instance sharing f inspects each edge.
     int share_count = 0;
@@ -212,73 +238,48 @@ int64_t BitwiseRunner::RunTopDownLevel(gpusim::KernelScope* scope) {
     // paper's scheme for avoiding per-neighbor atomic overhead); only
     // words that actually change are pushed to global memory with an
     // atomic OR — the synchronization MS-BFS's single-thread formulation
-    // does not need (Section 6). Per neighbor that is 8*words_ shared
-    // bytes + words_ ops + the changed-word atomics, accumulated here and
+    // does not need (Section 6). Per neighbor that is 8*words shared
+    // bytes + words ops + the changed-word atomics, accumulated here and
     // flushed at each item boundary.
     int64_t in_chunk = 0;
     int64_t chunk_atomics = 0;
     const auto flush_chunk = [&] {
       scope->LoadRuns(row_loads);
       row_loads.Reset();
-      scope->BulkShared(in_chunk, 8 * words_);
-      scope->BulkCompute(in_chunk, words_);
+      scope->BulkShared(in_chunk, 8 * words);
+      scope->BulkCompute(in_chunk, words);
       scope->BulkAtomics(chunk_atomics);
       in_chunk = 0;
       chunk_atomics = 0;
     };
-    if (words_ == 1) {
-      // Whole-group state is a single word: one OR per neighbor, straight
-      // off the flat word array. The chunk boundary is hoisted out of the
-      // per-neighbor loop: process min(kExpandChunk - in_chunk, remaining)
-      // neighbors back to back, then flush — the same item brackets the
-      // per-neighbor form produces.
-      const uint64_t mask = mask_f[0];
-      uint64_t* const cwords = cur_.MutableWords().data();
-      uint64_t* const bm = changed_rows_bm_.data();
-      const VertexId* const nb = neighbors.data();
-      const int64_t n_nbrs = static_cast<int64_t>(neighbors.size());
-      int64_t pos = 0;
-      while (pos < n_nbrs) {
-        if (in_chunk == kExpandChunk) {
-          flush_chunk();
-          scope->EndItem();
-          scope->BeginItem();
-        }
-        const int64_t stop =
-            std::min(n_nbrs, pos + (kExpandChunk - in_chunk));
-        in_chunk += stop - pos;
-        for (; pos < stop; ++pos) {
-          const VertexId v = nb[pos];
-          uint64_t& cell = cwords[v];
-          const uint64_t after = cell | mask;
-          if (after != cell) {
-            new_visits += PopCount(after ^ cell);
-            cell = after;
-            ++chunk_atomics;
-            bm[static_cast<uint64_t>(v) >> 6] |= uint64_t{1} << (v & 63);
-          }
-        }
+    // The chunk boundary is hoisted out of the per-neighbor loop: process
+    // min(kExpandChunk - in_chunk, remaining) neighbors back to back, then
+    // flush — the same item brackets the per-neighbor form produces. The
+    // OR itself is branch-free; new visits are counted later, once, by
+    // the frontier sweep.
+    const VertexId* const nb = neighbors.data();
+    const int64_t n_nbrs = static_cast<int64_t>(neighbors.size());
+    int64_t pos = 0;
+    while (pos < n_nbrs) {
+      if (in_chunk == kExpandChunk) {
+        flush_chunk();
+        scope->EndItem();
+        scope->BeginItem();
       }
-    } else {
-      uint64_t* const bm = changed_rows_bm_.data();
-      for (VertexId v : neighbors) {
-        if (in_chunk == kExpandChunk) {
-          flush_chunk();
-          scope->EndItem();
-          scope->BeginItem();
+      const int64_t stop = std::min(n_nbrs, pos + (kExpandChunk - in_chunk));
+      in_chunk += stop - pos;
+      for (; pos < stop; ++pos) {
+        const VertexId v = nb[pos];
+        uint64_t* const row = cw + static_cast<int64_t>(v) * words;
+        uint64_t row_gained = 0;
+        for (int w = 0; w < words; ++w) {
+          const uint64_t gained = mask[w] & ~row[w];
+          row[w] |= gained;
+          chunk_atomics += gained != 0;
+          row_gained |= gained;
         }
-        ++in_chunk;
-        auto row_v = cur_.MutableRow(v);
-        for (int w = 0; w < words_; ++w) {
-          const uint64_t before = row_v[w];
-          const uint64_t after = before | mask_f[w];
-          if (after != before) {
-            row_v[w] = after;
-            ++chunk_atomics;
-            new_visits += PopCount(after ^ before);
-            bm[static_cast<uint64_t>(v) >> 6] |= uint64_t{1} << (v & 63);
-          }
-        }
+        bm[static_cast<uint64_t>(v) >> 6] |=
+            static_cast<uint64_t>(row_gained != 0) << (v & 63);
       }
     }
     flush_chunk();
@@ -287,167 +288,127 @@ int64_t BitwiseRunner::RunTopDownLevel(gpusim::KernelScope* scope) {
         static_cast<int64_t>(neighbors.size());
     scope->EndItem();
   }
-  return new_visits;
 }
 
-int64_t BitwiseRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
+template <int kW>
+void BitwiseRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
+  const int words = Words<kW>();
   const bool can_terminate_early =
       options_.early_termination && !options_.msbfs_reset;
-  int64_t new_visits = 0;
   bu_next_jfq_.clear();
   bu_next_masks_.clear();
   bu_private_sum_ = 0;
-  // Per-neighbor row loads all have the same shape (words_ elements of 8
+  // Per-neighbor row loads all have the same shape (words elements of 8
   // bytes); the aggregator memoizes their transaction counts by residue
   // and drains before each EndItem.
   gpusim::ContiguousRunAggregator row_loads(
-      words_, 8, device_->spec().transaction_bytes,
+      words, 8, device_->spec().transaction_bytes,
       device_->spec().warp_size);
-  // Row starts are always multiples of words_, so when the row span
+  // Row starts are always multiples of words, so when the row span
   // divides the segment the whole neighbor scan is charged with one
   // ObserveAlignedRuns(scanned) call instead of one Observe per parent.
   const bool uniform_rows = row_loads.UniformAligned();
+  uint64_t* const cw = cur_.MutableWords().data();
+  const uint64_t* const pw = prev_.Words().data();
   for (VertexId f : jfq_) {
     scope->BeginItem();
-    if (!uniform_rows) row_loads.Observe(cur_.ElementIndex(f, 0));
-    auto row_f = cur_.MutableRow(f);
+    uint64_t* const row = cw + static_cast<int64_t>(f) * words;
 
     // Unset valid bits of row f (= logical inspections each neighbor scan
-    // performs), kept incrementally: the early-termination test becomes
-    // one integer compare per neighbor instead of an O(words) rescan.
-    int64_t unset_bits = 0;
-    for (int wi = 0; wi < words_; ++wi) {
-      const uint64_t valid =
-          wi + 1 == words_ ? cur_.LastWordMask() : ~uint64_t{0};
-      unset_bits += PopCount(~row_f[wi] & valid);
-    }
+    // performs), recounted only when a parent adds bits: the
+    // early-termination test is one integer compare.
+    const auto count_unset = [&] {
+      int64_t unset = 0;
+      for (int w = 0; w < words; ++w) {
+        unset += PopCount(~row[w] & ValidMask(w, words));
+      }
+      return unset;
+    };
+    int64_t unset_bits = count_unset();
 
     const auto neighbors = graph_.InNeighbors(f);
-    int64_t scanned = 0;
+    const VertexId* const nb = neighbors.data();
+    const int64_t n_nbrs = static_cast<int64_t>(neighbors.size());
+    const auto parent = [&](int64_t at) {
+      return pw + static_cast<int64_t>(nb[at]) * words;
+    };
     bool changed = false;
-    if (words_ == 1) {
-      const uint64_t valid = cur_.LastWordMask();
-      const uint64_t* const pwords = prev_.Words().data();
-      uint64_t row = row_f[0];
-      // Inspections accrue at the *current* unset-bit count, which only
-      // moves when the row gains bits — so the charge is accumulated per
-      // stretch of unchanged scans (scan_base marks the stretch start)
-      // instead of per neighbor. Same total, fewer adds.
-      int64_t scan_base = 0;
-      if (can_terminate_early && uniform_rows) {
-        // Tightest form: rows entering the bottom-up queue are unsaturated
-        // by construction (both queue builders filter all-ones rows and
-        // bits only accumulate), so unset_bits > 0 until an update drives
-        // it to zero — the early-termination test needs to run only inside
-        // the update branch, not once per scanned neighbor. Breaking there
-        // stops before the next scan, exactly where the per-neighbor test
-        // would have stopped.
-        const VertexId* const nbp = neighbors.data();
-        const int64_t n_nbrs = static_cast<int64_t>(neighbors.size());
-        int64_t idx = 0;
-        bool terminated = false;
-        // Exact scan of one neighbor; true when the row just saturated.
-        const auto scan_one = [&](int64_t at) {
-          const uint64_t after = row | (pwords[nbp[at]] & valid);
-          if (after != row) {
-            // Neighbor `at` itself was inspected at the pre-update count.
-            level_inspections_ += unset_bits * (at + 1 - scan_base);
-            scan_base = at + 1;
-            const int added = PopCount(after ^ row);
-            new_visits += added;
-            unset_bits -= added;
-            row = after;
-            changed = true;
-            return unset_bits == 0;
-          }
-          return false;
-        };
-        // Blocks of four parents whose combined words add nothing to the
-        // row (the common case once the group saturates) are skipped with
-        // one OR-tree and one compare; a block that would change the row
-        // is replayed one parent at a time so the inspection stretches and
-        // the early-termination point stay exact.
-        while (idx + 4 <= n_nbrs) {
-          const uint64_t blk = pwords[nbp[idx]] | pwords[nbp[idx + 1]] |
-                               pwords[nbp[idx + 2]] | pwords[nbp[idx + 3]];
-          if ((blk & valid & ~row) == 0) {
-            idx += 4;
-            continue;
-          }
-          const int64_t e = idx + 4;
-          for (; idx < e; ++idx) {
-            if (scan_one(idx)) {
-              // Early termination: every instance has found f's parent;
-              // the thread is freed for other frontiers (Section 6).
-              ++idx;
-              terminated = true;
-              break;
-            }
-          }
-          if (terminated) break;
-        }
-        while (!terminated && idx < n_nbrs) {
-          if (scan_one(idx)) {
-            ++idx;
-            break;
-          }
-          ++idx;
-        }
-        scanned = idx;
-      } else {
-        for (VertexId w : neighbors) {
-          if (can_terminate_early && unset_bits == 0) break;
-          ++scanned;
-          if (!uniform_rows) row_loads.Observe(w);
-          const uint64_t after = row | (pwords[w] & valid);
-          if (after != row) {
-            level_inspections_ += unset_bits * (scanned - scan_base);
-            scan_base = scanned;
-            new_visits += PopCount(after ^ row);
-            unset_bits -= PopCount(after ^ row);
-            row = after;
-            changed = true;
-          }
-        }
+    // Inspections accrue at the *current* unset-bit count, which only
+    // moves when the row gains bits — so the charge is accumulated per
+    // stretch of unchanged scans (scan_base marks the stretch start)
+    // instead of per neighbor. Same total, fewer adds.
+    int64_t scan_base = 0;
+    // Exact scan of parent `at`; true when early termination stops the
+    // scan there. Rows entering the bottom-up queue are unsaturated by
+    // construction (both queue builders filter all-ones rows and bits only
+    // accumulate), so unset_bits > 0 until an update drives it to zero —
+    // the test needs to run only when a parent adds bits, and stopping
+    // there is exactly where a per-neighbor test would have stopped.
+    const auto scan_one = [&](int64_t at) {
+      const uint64_t* const p = parent(at);
+      uint64_t gained = 0;
+      for (int w = 0; w < words; ++w) {
+        gained |= p[w] & ~row[w];
+        row[w] |= p[w];
       }
-      level_inspections_ += unset_bits * (scanned - scan_base);
-      row_f[0] = row;
-    } else {
-      for (VertexId w : neighbors) {
-        if (can_terminate_early && unset_bits == 0) break;
-        ++scanned;
-        if (!uniform_rows) row_loads.Observe(prev_.ElementIndex(w, 0));
-        level_inspections_ += unset_bits;
-        const auto row_w = prev_.Row(w);
-        for (int wi = 0; wi < words_; ++wi) {
-          const uint64_t before = row_f[wi];
-          const uint64_t after = before | row_w[wi];
-          if (after != before) {
-            row_f[wi] = after;
-            changed = true;
-            new_visits += PopCount(after ^ before);
-            unset_bits -= PopCount(after ^ before);
-          }
-        }
+      if (gained == 0) return false;
+      // Parent `at` itself was inspected at the pre-update count.
+      level_inspections_ += unset_bits * (at + 1 - scan_base);
+      scan_base = at + 1;
+      unset_bits = count_unset();
+      changed = true;
+      // Early termination: every instance has found f's parent; the
+      // thread is freed for other frontiers (Section 6).
+      return can_terminate_early && unset_bits == 0;
+    };
+    // Blocks of four parents whose combined rows add nothing (the common
+    // case once the group saturates) are skipped with one OR-tree and one
+    // compare per word; a block that would change the row is replayed one
+    // parent at a time so the inspection stretches and the
+    // early-termination point stay exact.
+    int64_t idx = 0;
+    bool terminated = false;
+    while (!terminated && idx + 4 <= n_nbrs) {
+      uint64_t adds = 0;
+      for (int w = 0; w < words; ++w) {
+        adds |= (parent(idx)[w] | parent(idx + 1)[w] | parent(idx + 2)[w] |
+                 parent(idx + 3)[w]) &
+                ~row[w];
+      }
+      if (adds == 0) {
+        idx += 4;
+        continue;
+      }
+      for (const int64_t e = idx + 4; !terminated && idx < e; ++idx) {
+        terminated = scan_one(idx);
       }
     }
+    for (; !terminated && idx < n_nbrs; ++idx) terminated = scan_one(idx);
+    const int64_t scanned = idx;
+    level_inspections_ += unset_bits * (scanned - scan_base);
+
     if (unset_bits > 0) {
       // Row f is still unsaturated: it stays on the bottom-up frontier.
       // Recording it here (with its unvisited mask) is what lets a
       // bottom-up -> bottom-up transition skip the full-vertex rescan.
       bu_next_jfq_.push_back(f);
-      const uint64_t last_valid = cur_.LastWordMask();
-      for (int wi = 0; wi < words_; ++wi) {
-        const uint64_t valid = wi + 1 == words_ ? last_valid : ~uint64_t{0};
-        bu_next_masks_.push_back(~row_f[wi] & valid);
+      for (int w = 0; w < words; ++w) {
+        bu_next_masks_.push_back(~row[w] & ValidMask(w, words));
       }
       bu_private_sum_ += unset_bits;
     }
     if (uniform_rows) {
       // scanned parent-row loads + the initial load of row f itself.
       row_loads.ObserveAlignedRuns(scanned + 1);
+    } else {
+      // Rows straddle segments unevenly: every scanned parent, skipped
+      // blocks included, is charged at its own residue.
+      row_loads.Observe(cur_.ElementIndex(f, 0));
+      for (int64_t k = 0; k < scanned; ++k) {
+        row_loads.Observe(prev_.ElementIndex(nb[k], 0));
+      }
     }
-    scope->BulkCompute(scanned, words_);
+    scope->BulkCompute(scanned, words);
     scope->LoadRuns(row_loads);
     row_loads.Reset();
     scope->LoadContiguous(static_cast<int64_t>(graph_.in_row_offsets()[f]),
@@ -455,7 +416,7 @@ int64_t BitwiseRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
     if (changed) {
       // One thread owns row f: plain (non-atomic) write-back, as the
       // paper's warp/CTA tree-merging avoids atomics in bottom-up.
-      scope->StoreContiguous(cur_.ElementIndex(f, 0), words_, 8);
+      scope->StoreContiguous(cur_.ElementIndex(f, 0), words, 8);
       changed_rows_bm_[static_cast<uint64_t>(f) >> 6] |=
           uint64_t{1} << (f & 63);
     }
@@ -469,7 +430,6 @@ int64_t BitwiseRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
     }
     scope->EndItem();
   }
-  return new_visits;
 }
 
 void BitwiseRunner::ChooseDirection() {
@@ -492,24 +452,29 @@ void BitwiseRunner::ChooseDirection() {
   }
 }
 
+template <int kW>
 void BitwiseRunner::GenerateFrontier(gpusim::KernelScope* scope) {
+  const int words = Words<kW>();
   const int64_t n_vertices = graph_.vertex_count();
 
   // Fused sweep — newly visited bits (XOR of the level's BSAs,
-  // Algorithm 2): one pass records depths, updates the direction-heuristic
-  // accumulators, AND builds the candidate top-down JFQ. This used to be
-  // two full O(V*words) sweeps (the second recomputed every XOR after the
-  // direction choice); the direction cannot be chosen mid-sweep, so the
-  // top-down queue is built speculatively into next_jfq_/next_masks_ and
-  // swapped in when top-down wins. The simulated cost is unchanged — the
-  // kernel already billed both status-array reads below.
-  scope->LoadContiguous(0, n_vertices * words_, 8);
-  scope->LoadContiguous(0, n_vertices * words_, 8);
-  scope->Compute(n_vertices * words_);
+  // Algorithm 2): one pass records depths, counts the level's new visits,
+  // updates the direction-heuristic accumulators, AND builds the candidate
+  // top-down JFQ. This used to be two full O(V*words) sweeps (the second
+  // recomputed every XOR after the direction choice); the direction
+  // cannot be chosen mid-sweep, so the top-down queue is built
+  // speculatively into next_jfq_/next_masks_ and swapped in when top-down
+  // wins. The simulated cost is unchanged — the kernel already billed both
+  // status-array reads below.
+  scope->LoadContiguous(0, n_vertices * words, 8);
+  scope->LoadContiguous(0, n_vertices * words, 8);
+  scope->Compute(n_vertices * words);
   new_frontier_edges_ = 0;
   next_jfq_.clear();
   next_masks_.clear();
-  int64_t td_private_sum = 0;
+  // Σ popcount(cur ^ prev): the level's new visits, which is also the
+  // top-down private frontier sum.
+  level_new_visits_ = 0;
   // The level kernels marked every row they changed in changed_rows_bm_,
   // so the host walks exactly those rows (ascending vertex order — the
   // order a flat scan would visit them) instead of XOR-scanning all
@@ -526,12 +491,12 @@ void BitwiseRunner::GenerateFrontier(gpusim::KernelScope* scope) {
     while (marks != 0) {
       const int64_t v = bwi * 64 + LowestSetBit(marks);
       marks &= marks - 1;
-      const int64_t base = v * words_;
+      const int64_t base = v * words;
       const auto vid = static_cast<VertexId>(v);
       int new_bits = 0;
       uint8_t* const depth_row =
           options_.record_depths ? depth_matrix_.data() + v * n_ : nullptr;
-      for (int w = 0; w < words_; ++w) {
+      for (int w = 0; w < words; ++w) {
         uint64_t diff = cw[base + w] ^ pw[base + w];
         next_masks_.push_back(diff);
         new_bits += PopCount(diff);
@@ -548,7 +513,7 @@ void BitwiseRunner::GenerateFrontier(gpusim::KernelScope* scope) {
       new_frontier_edges_ += static_cast<int64_t>(new_bits) * d;
       unexplored_edges_ -= static_cast<int64_t>(new_bits) * d;
       next_jfq_.push_back(vid);
-      td_private_sum += new_bits;
+      level_new_visits_ += new_bits;
       if (options_.record_depths) {
         // Depth write-out: one coalesced store touching v's depth row.
         scope->StoreContiguous(static_cast<int64_t>(v) * n_, new_bits, 1);
@@ -575,7 +540,7 @@ void BitwiseRunner::GenerateFrontier(gpusim::KernelScope* scope) {
     // scratch capacity for the next level.
     jfq_.swap(next_jfq_);
     jfq_masks_.swap(next_masks_);
-    private_sum = td_private_sum;
+    private_sum = level_new_visits_;
   } else if (was_bottom_up) {
     // Bottom-up again: the level just run already recorded every row that
     // stayed unsaturated (rows only gain bits, so no vertex outside the
@@ -590,36 +555,16 @@ void BitwiseRunner::GenerateFrontier(gpusim::KernelScope* scope) {
     // sweep, and after a top-down level no per-row record exists — scan.
     jfq_.clear();
     jfq_masks_.clear();
-    const uint64_t last_valid = cur_.LastWordMask();
-    if (words_ == 1) {
-      for (int64_t v = 0; v < n_vertices; ++v) {
-        const uint64_t mask = ~cw[v] & last_valid;
-        if (mask == 0) continue;
-        jfq_.push_back(static_cast<VertexId>(v));
+    for (int64_t v = 0; v < n_vertices; ++v) {
+      const uint64_t* const row = cw + v * words;
+      uint64_t open = 0;
+      for (int w = 0; w < words; ++w) open |= ~row[w] & ValidMask(w, words);
+      if (open == 0) continue;
+      jfq_.push_back(static_cast<VertexId>(v));
+      for (int w = 0; w < words; ++w) {
+        const uint64_t mask = ~row[w] & ValidMask(w, words);
         jfq_masks_.push_back(mask);
         private_sum += PopCount(mask);
-      }
-    } else {
-      for (int64_t v = 0; v < n_vertices; ++v) {
-        const int64_t base = v * words_;
-        bool saturated = true;
-        for (int w = 0; w < words_; ++w) {
-          const uint64_t valid = w + 1 == words_ ? last_valid : ~uint64_t{0};
-          if (cw[base + w] != valid) {
-            saturated = false;
-            break;
-          }
-        }
-        if (saturated) continue;
-        jfq_.push_back(static_cast<VertexId>(v));
-        int unvisited = 0;
-        for (int w = 0; w < words_; ++w) {
-          const uint64_t valid = w + 1 == words_ ? last_valid : ~uint64_t{0};
-          const uint64_t mask = ~cw[base + w] & valid;
-          jfq_masks_.push_back(mask);
-          unvisited += PopCount(mask);
-        }
-        private_sum += unvisited;
       }
     }
   }
@@ -635,12 +580,12 @@ void BitwiseRunner::GenerateFrontier(gpusim::KernelScope* scope) {
   // plus re-copying only the rows this level changed — the list the fused
   // sweep just built (swapped into jfq_ when top-down won).
   SyncShadow(bottom_up_ ? next_jfq_ : jfq_);
-  scope->LoadContiguous(0, n_vertices * words_, 8);
-  scope->StoreContiguous(0, n_vertices * words_, 8);
+  scope->LoadContiguous(0, n_vertices * words, 8);
+  scope->StoreContiguous(0, n_vertices * words, 8);
   if (options_.msbfs_reset) {
     // MS-BFS-style per-level reset of the visit array: extra streaming
     // store (and the loss of early termination, handled in bottom-up).
-    scope->StoreContiguous(0, n_vertices * words_, 8);
+    scope->StoreContiguous(0, n_vertices * words, 8);
   }
 
   pending_private_fq_sum_ = private_sum;
@@ -648,8 +593,8 @@ void BitwiseRunner::GenerateFrontier(gpusim::KernelScope* scope) {
   ++level_;
 }
 
-GroupResult BitwiseRunner::Run() {
-  InitSources();
+template <int kW>
+void BitwiseRunner::RunLevels() {
   LevelObserver level_observer(options_.observer, device_);
   while (!finished_) {
     LevelTrace lt;
@@ -658,21 +603,38 @@ GroupResult BitwiseRunner::Run() {
     lt.jfq_size = static_cast<int64_t>(jfq_.size());
     lt.private_fq_sum = pending_private_fq_sum_;
     level_observer.LevelStart(lt.jfq_size);
-    level_new_visits_ = 0;
     level_inspections_ = 0;
     {
       auto scope = device_->BeginKernel(bottom_up_ ? bu_phase_ : td_phase_);
-      level_new_visits_ =
-          bottom_up_ ? RunBottomUpLevel(&scope) : RunTopDownLevel(&scope);
+      if (bottom_up_) {
+        RunBottomUpLevel<kW>(&scope);
+      } else {
+        RunTopDownLevel<kW>(&scope);
+      }
     }
     {
       auto scope = device_->BeginKernel(fq_phase_);
-      GenerateFrontier(&scope);
+      GenerateFrontier<kW>(&scope);
     }
     lt.edges_inspected = level_inspections_;
     lt.new_visits = level_new_visits_;
     level_observer.LevelEnd(lt, bottom_up_, finished_);
     trace_.levels.push_back(lt);
+  }
+}
+
+GroupResult BitwiseRunner::Run() {
+  InitSources();
+  switch (words_) {
+    case 1:
+      RunLevels<1>();
+      break;
+    case 2:
+      RunLevels<2>();
+      break;
+    default:
+      RunLevels<0>();
+      break;
   }
 
   GroupResult result;

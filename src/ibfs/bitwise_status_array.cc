@@ -17,41 +17,12 @@ BitwiseStatusArray::BitwiseStatusArray(int64_t vertex_count,
   data_.assign(static_cast<size_t>(vertex_count) * words_, 0);
 }
 
-bool BitwiseStatusArray::OrRowFrom(graph::VertexId v,
-                                   const BitwiseStatusArray& src,
-                                   graph::VertexId src_vertex) {
-  uint64_t* dst = data_.data() + RowOffset(v);
-  const uint64_t* from = src.data_.data() + src.RowOffset(src_vertex);
-  bool changed = false;
-  for (int w = 0; w < words_; ++w) {
-    const uint64_t updated = dst[w] | from[w];
-    changed |= updated != dst[w];
-    dst[w] = updated;
-  }
-  return changed;
-}
-
-bool BitwiseStatusArray::RowAllSet(graph::VertexId v) const {
-  const uint64_t* row = data_.data() + RowOffset(v);
-  for (int w = 0; w + 1 < words_; ++w) {
-    if (row[w] != ~uint64_t{0}) return false;
-  }
-  return (row[words_ - 1] & last_word_mask_) == last_word_mask_;
-}
-
 bool BitwiseStatusArray::RowAllClear(graph::VertexId v) const {
   const uint64_t* row = data_.data() + RowOffset(v);
   for (int w = 0; w < words_; ++w) {
     if (row[w] != 0) return false;
   }
   return true;
-}
-
-int BitwiseStatusArray::RowPopCount(graph::VertexId v) const {
-  const uint64_t* row = data_.data() + RowOffset(v);
-  int count = 0;
-  for (int w = 0; w < words_; ++w) count += PopCount(row[w]);
-  return count;
 }
 
 void BitwiseStatusArray::CopyFrom(const BitwiseStatusArray& other) {

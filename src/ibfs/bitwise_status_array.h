@@ -51,20 +51,8 @@ class BitwiseStatusArray {
     return {data_.data() + RowOffset(v), static_cast<size_t>(words_)};
   }
 
-  /// ORs `src`'s row into `v`'s row (Algorithm 1's inspection step);
-  /// returns true if any bit changed.
-  bool OrRowFrom(graph::VertexId v, const BitwiseStatusArray& src,
-                 graph::VertexId src_vertex);
-
-  /// True iff every instance has visited `v` (the early-termination test);
-  /// bits beyond instance_count are masked off.
-  bool RowAllSet(graph::VertexId v) const;
-
   /// True iff no instance has visited `v`.
   bool RowAllClear(graph::VertexId v) const;
-
-  /// Number of set bits in `v`'s row.
-  int RowPopCount(graph::VertexId v) const;
 
   /// Copies all rows from `other` (the per-level BSA_{k+1} <- BSA_k copy).
   void CopyFrom(const BitwiseStatusArray& other);

@@ -10,8 +10,20 @@ namespace ibfs {
 /// ballot primitives. All are header-inline; they sit on the hottest path of
 /// the bitwise traversal.
 
-/// Number of set bits.
-inline int PopCount(uint64_t word) { return std::popcount(word); }
+/// Number of set bits. Without a hardware popcount in the target (the
+/// default x86-64 build has no -mpopcnt), std::popcount compiles to a
+/// libgcc call, which in the bitwise kernels' loops costs more than this
+/// inline SWAR reduction.
+inline int PopCount(uint64_t word) {
+#if defined(__POPCNT__)
+  return std::popcount(word);
+#else
+  word -= (word >> 1) & 0x5555555555555555ULL;
+  word = (word & 0x3333333333333333ULL) + ((word >> 2) & 0x3333333333333333ULL);
+  word = (word + (word >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<int>((word * 0x0101010101010101ULL) >> 56);
+#endif
+}
 
 /// Index (0-based, from LSB) of the lowest set bit. Precondition: word != 0.
 inline int LowestSetBit(uint64_t word) { return std::countr_zero(word); }

@@ -1,3 +1,4 @@
+#include <bit>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -111,6 +112,13 @@ TEST(BitopsTest, PopCountAndLowestSetBit) {
   EXPECT_EQ(PopCount(0), 0);
   EXPECT_EQ(PopCount(~uint64_t{0}), 64);
   EXPECT_EQ(PopCount(0b1011), 3);
+  EXPECT_EQ(PopCount(uint64_t{1} << 63), 1);
+  // PopCount may be the inline SWAR form; it must agree with the library.
+  Prng prng(11);
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t word = prng.Next() & prng.Next();
+    EXPECT_EQ(PopCount(word), std::popcount(word));
+  }
   EXPECT_EQ(LowestSetBit(0b1000), 3);
   EXPECT_EQ(LowestSetBit(uint64_t{1} << 63), 63);
 }
