@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "obs/json.h"
-
 namespace ibfs::obs {
 
 FlightRecorder::FlightRecorder(Options options)
@@ -24,41 +22,16 @@ void FlightRecorder::RecordEvent(double now_s, std::string name,
 
 void FlightRecorder::WriteJson(std::ostream& os, std::string_view reason,
                                double now_s) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  JsonWriter w(os);
-  w.BeginObject();
-  w.Key("schema");
-  w.String("ibfs.flight_record");
-  w.Key("schema_version");
-  w.Int(1);
-  w.Key("trigger");
-  w.String(reason);
-  w.Key("ts_s");
-  w.Double(now_s);
-  w.Key("dump_index");
-  w.Int(dumps_);
-  w.Key("queries");
-  w.BeginArray();
-  for (const AccessRecord& record : queries_) {
-    std::ostringstream one;
-    record.WriteJson(one);
-    w.Raw(one.str());
+  FlightRecord record;
+  record.trigger = reason;
+  record.ts_s = now_s;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    record.dump_index = dumps_;
+    record.queries = queries_;
+    record.events = events_;
   }
-  w.EndArray();
-  w.Key("events");
-  w.BeginArray();
-  for (const FlightEvent& event : events_) {
-    w.BeginObject();
-    w.Key("ts_s");
-    w.Double(event.ts_s);
-    w.Key("name");
-    w.String(event.name);
-    w.Key("detail");
-    w.String(event.detail);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
+  record.WriteJson(os);
   os << '\n';
 }
 

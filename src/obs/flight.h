@@ -8,6 +8,7 @@
 #include <string>
 
 #include "obs/live.h"
+#include "obs/report.h"
 #include "util/status.h"
 
 namespace ibfs::obs {
@@ -32,6 +33,20 @@ struct FlightEvent {
   std::string name;
   /// Free-form human detail ("device 2", "query 17 checksum mismatch").
   std::string detail;
+};
+
+/// One dump: the `ibfs.flight_record` document, a snapshot of the rings.
+struct FlightRecord : JsonDocument<FlightRecord> {
+  static constexpr const char* kSchema = "ibfs.flight_record";
+  static constexpr int kSchemaVersion = 1;
+
+  /// What caused the dump ("slo_alert", "breaker_open", ...).
+  std::string trigger;
+  double ts_s = 0.0;
+  /// Dumps written before this one.
+  int64_t dump_index = 0;
+  std::deque<AccessRecord> queries;
+  std::deque<FlightEvent> events;
 };
 
 class FlightRecorder {

@@ -169,43 +169,7 @@ double RollingHistogram::Max(double now_s) const {
 }
 
 // ---------------------------------------------------------------------------
-// AccessRecord / AccessLog
-
-void AccessRecord::WriteJson(std::ostream& os) const {
-  JsonWriter w(os);
-  w.BeginObject();
-  w.Key("ts_s");
-  w.Double(ts_s);
-  w.Key("query_id");
-  w.Int(query_id);
-  w.Key("source");
-  w.Int(source);
-  w.Key("status");
-  w.String(status);
-  w.Key("ok");
-  w.Bool(ok);
-  w.Key("cached");
-  w.Bool(cached);
-  w.Key("degraded");
-  w.Bool(degraded);
-  w.Key("attempts");
-  w.Int(attempts);
-  w.Key("batch_id");
-  w.Int(batch_id);
-  w.Key("group_index");
-  w.Int(group_index);
-  w.Key("queue_ms");
-  w.Double(queue_ms);
-  w.Key("batch_ms");
-  w.Double(batch_ms);
-  w.Key("execute_ms");
-  w.Double(execute_ms);
-  w.Key("total_ms");
-  w.Double(total_ms);
-  w.Key("reached");
-  w.Int(reached);
-  w.EndObject();
-}
+// AccessLog (AccessRecord::WriteJson walks its description in obs/schema.cc)
 
 Result<std::unique_ptr<AccessLog>> AccessLog::Open(const std::string& path) {
   auto stream = std::make_unique<std::ofstream>(path, std::ios::app);

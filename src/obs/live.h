@@ -143,6 +143,7 @@ struct AccessRecord {
   int64_t reached = 0;
 
   /// One JSON object, single line, no trailing newline — the JSONL row.
+  /// The same object is the flight record's queries[] entry.
   void WriteJson(std::ostream& os) const;
 };
 

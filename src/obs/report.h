@@ -12,6 +12,21 @@ namespace ibfs::obs {
 
 class MetricsRegistry;
 
+/// Serialization shared by every document struct (the reports below and
+/// obs::FlightRecord): each one's fields are described once, in
+/// obs/schema.cc, and both these writers and the matching validator in
+/// obs/validate.h walk that description.
+template <typename Doc>
+struct JsonDocument {
+  /// Serializes the document; when `metrics` is non-null its snapshot is
+  /// embedded under the "metrics" key.
+  void WriteJson(std::ostream& os,
+                 const MetricsRegistry* metrics = nullptr) const;
+  /// WriteJson plus a trailing newline, into the file at `path`.
+  Status WriteFile(const std::string& path,
+                   const MetricsRegistry* metrics = nullptr) const;
+};
+
 /// The machine-readable run report: one JSON document unifying what the
 /// text UI scatters across `--profile` tables, GroupTrace getters, and
 /// stdout lines. Schema name "ibfs.run_report", versioned; see
@@ -88,7 +103,7 @@ struct ReportComm {
 };
 
 /// Top-level run report.
-struct RunReport {
+struct RunReport : JsonDocument<RunReport> {
   static constexpr const char* kSchema = "ibfs.run_report";
   static constexpr int kSchemaVersion = 1;
 
@@ -119,13 +134,6 @@ struct RunReport {
 
   bool has_comm = false;
   ReportComm comm;
-
-  /// Serializes the report; when `metrics` is non-null its snapshot is
-  /// embedded under the "metrics" key.
-  void WriteJson(std::ostream& os,
-                 const MetricsRegistry* metrics = nullptr) const;
-  Status WriteFile(const std::string& path,
-                   const MetricsRegistry* metrics = nullptr) const;
 };
 
 /// One latency distribution of the service report, in milliseconds.
@@ -145,7 +153,7 @@ struct ReportLatency {
 /// ratio against the oracle that saw every source up front. Like
 /// RunReport, this is a plain struct so the obs layer stays below core;
 /// service/workload.h builds it from a driven workload.
-struct ServiceReport {
+struct ServiceReport : JsonDocument<ServiceReport> {
   static constexpr const char* kSchema = "ibfs.service_report";
   /// v2 added the "cache" section (result/plan cache counters).
   static constexpr int kSchemaVersion = 2;
@@ -203,13 +211,6 @@ struct ServiceReport {
   double cache_hit_ratio = 0.0;
   int64_t plan_hits = 0;
   int64_t plan_misses = 0;
-
-  /// Serializes the report; when `metrics` is non-null its snapshot is
-  /// embedded under the "metrics" key.
-  void WriteJson(std::ostream& os,
-                 const MetricsRegistry* metrics = nullptr) const;
-  Status WriteFile(const std::string& path,
-                   const MetricsRegistry* metrics = nullptr) const;
 };
 
 /// The chaos-run report ("ibfs.resilience_report"): what one
@@ -218,7 +219,7 @@ struct ServiceReport {
 /// deadlines), and the checksum verification of every completed query
 /// against a fault-free baseline run. Plain struct like the others so the
 /// obs layer stays below core; service/chaos.h builds it.
-struct ResilienceReport {
+struct ResilienceReport : JsonDocument<ResilienceReport> {
   static constexpr const char* kSchema = "ibfs.resilience_report";
   static constexpr int kSchemaVersion = 1;
 
@@ -258,13 +259,6 @@ struct ResilienceReport {
   // the fault-free baseline execution of the same source.
   int64_t checksums_compared = 0;
   int64_t checksum_mismatches = 0;
-
-  /// Serializes the report; when `metrics` is non-null its snapshot is
-  /// embedded under the "metrics" key.
-  void WriteJson(std::ostream& os,
-                 const MetricsRegistry* metrics = nullptr) const;
-  Status WriteFile(const std::string& path,
-                   const MetricsRegistry* metrics = nullptr) const;
 };
 
 /// One shard's slice of the fleet report: its health as the front door saw
@@ -293,7 +287,7 @@ struct FleetReportShard {
 /// fleet's answers are bit-identical to a single service's. Plain struct
 /// like the others so the obs layer stays below core; fleet/fleet_workload
 /// builds it.
-struct FleetReport {
+struct FleetReport : JsonDocument<FleetReport> {
   static constexpr const char* kSchema = "ibfs.fleet_report";
   /// v2 adds the "elasticity" section (replication, joins, warmup,
   /// hedging, recoveries, rebalancing) and per-shard ring weights.
@@ -363,13 +357,6 @@ struct FleetReport {
 
   // Total-latency distribution (milliseconds).
   ReportLatency total_ms;
-
-  /// Serializes the report; when `metrics` is non-null its snapshot is
-  /// embedded under the "metrics" key.
-  void WriteJson(std::ostream& os,
-                 const MetricsRegistry* metrics = nullptr) const;
-  Status WriteFile(const std::string& path,
-                   const MetricsRegistry* metrics = nullptr) const;
 };
 
 }  // namespace ibfs::obs

@@ -10,41 +10,29 @@ Status Bad(const std::string& what) {
   return Status::InvalidArgument(what);
 }
 
-const JsonValue* RequireMember(const JsonValue& obj, const std::string& key,
+}  // namespace
+
+const JsonValue* RequireMember(const JsonValue& obj, std::string_view key,
                                JsonValue::Kind kind, Status* status,
                                const std::string& where) {
   const JsonValue* member = obj.Find(key);
   if (member == nullptr) {
-    *status = Bad(where + ": missing \"" + key + "\"");
+    *status = Bad(where + ": missing \"" + std::string(key) + "\"");
     return nullptr;
   }
   if (member->kind() != kind) {
-    *status = Bad(where + ": \"" + key + "\" has wrong type");
+    *status = Bad(where + ": \"" + std::string(key) + "\" has wrong type");
     return nullptr;
   }
   return member;
 }
 
-Status ValidatePhaseObject(const JsonValue& phase, const std::string& where) {
-  Status st;
-  if (!phase.is_object()) return Bad(where + ": phase is not an object");
-  if (RequireMember(phase, "name", JsonValue::Kind::kString, &st, where) ==
-      nullptr) {
-    return st;
-  }
-  for (const char* key :
-       {"seconds", "launches", "load_transactions", "store_transactions",
-        "load_requests", "store_requests", "load_transactions_per_request",
-        "atomic_ops", "shared_bytes"}) {
-    if (RequireMember(phase, key, JsonValue::Kind::kNumber, &st, where) ==
-        nullptr) {
-      return st;
-    }
-  }
-  return Status::OK();
+Status ValidateFile(const std::string& path,
+                    const std::function<Status(const JsonValue&)>& validate) {
+  Result<JsonValue> doc = ParseJsonFile(path);
+  if (!doc.ok()) return doc.status();
+  return validate(doc.value());
 }
-
-}  // namespace
 
 Status ValidateTrace(const JsonValue& doc, bool require_spans) {
   if (!doc.is_object()) return Bad("trace: top level is not an object");
@@ -94,576 +82,6 @@ Status ValidateTrace(const JsonValue& doc, bool require_spans) {
     return Bad("trace: no complete spans (\"ph\":\"X\") recorded");
   }
   return Status::OK();
-}
-
-Status ValidateTraceFile(const std::string& path, bool require_spans) {
-  Result<JsonValue> doc = ParseJsonFile(path);
-  if (!doc.ok()) return doc.status();
-  return ValidateTrace(doc.value(), require_spans);
-}
-
-Status ValidateRunReport(const JsonValue& doc) {
-  if (!doc.is_object()) return Bad("report: top level is not an object");
-  Status st;
-  const JsonValue* schema =
-      RequireMember(doc, "schema", JsonValue::Kind::kString, &st, "report");
-  if (schema == nullptr) return st;
-  if (schema->string_value() != "ibfs.run_report") {
-    return Bad("report: unexpected schema \"" + schema->string_value() +
-               "\"");
-  }
-  const JsonValue* version = RequireMember(
-      doc, "schema_version", JsonValue::Kind::kNumber, &st, "report");
-  if (version == nullptr) return st;
-  if (version->number_value() < 1) return Bad("report: bad schema_version");
-
-  const JsonValue* workload = RequireMember(
-      doc, "workload", JsonValue::Kind::kObject, &st, "report");
-  if (workload == nullptr) return st;
-  for (const char* key : {"graph", "strategy", "grouping"}) {
-    if (RequireMember(*workload, key, JsonValue::Kind::kString, &st,
-                      "report workload") == nullptr) {
-      return st;
-    }
-  }
-  for (const char* key :
-       {"vertex_count", "edge_count", "instances", "group_size"}) {
-    if (RequireMember(*workload, key, JsonValue::Kind::kNumber, &st,
-                      "report workload") == nullptr) {
-      return st;
-    }
-  }
-
-  const JsonValue* results =
-      RequireMember(doc, "results", JsonValue::Kind::kObject, &st, "report");
-  if (results == nullptr) return st;
-  for (const char* key :
-       {"sim_seconds", "wall_seconds", "teps", "sharing_ratio",
-        "sharing_ratio_top_down", "sharing_ratio_bottom_up",
-        "rule_matched"}) {
-    if (RequireMember(*results, key, JsonValue::Kind::kNumber, &st,
-                      "report results") == nullptr) {
-      return st;
-    }
-  }
-
-  const JsonValue* groups =
-      RequireMember(doc, "groups", JsonValue::Kind::kArray, &st, "report");
-  if (groups == nullptr) return st;
-  size_t gi = 0;
-  for (const JsonValue& group : groups->array()) {
-    const std::string where = "report group " + std::to_string(gi++);
-    if (!group.is_object()) return Bad(where + ": not an object");
-    for (const char* key : {"index", "instance_count", "sim_seconds",
-                            "sharing_degree", "sharing_ratio", "hub"}) {
-      if (RequireMember(group, key, JsonValue::Kind::kNumber, &st, where) ==
-          nullptr) {
-        return st;
-      }
-    }
-    const JsonValue* levels =
-        RequireMember(group, "levels", JsonValue::Kind::kArray, &st, where);
-    if (levels == nullptr) return st;
-    for (const JsonValue& level : levels->array()) {
-      if (!level.is_object()) return Bad(where + ": level is not an object");
-      if (RequireMember(level, "direction", JsonValue::Kind::kString, &st,
-                        where) == nullptr) {
-        return st;
-      }
-      for (const char* key : {"level", "jfq_size", "private_fq_sum",
-                              "edges_inspected", "new_visits"}) {
-        if (RequireMember(level, key, JsonValue::Kind::kNumber, &st,
-                          where) == nullptr) {
-          return st;
-        }
-      }
-    }
-  }
-
-  const JsonValue* phases =
-      RequireMember(doc, "phases", JsonValue::Kind::kArray, &st, "report");
-  if (phases == nullptr) return st;
-  size_t pi = 0;
-  for (const JsonValue& phase : phases->array()) {
-    IBFS_RETURN_NOT_OK(
-        ValidatePhaseObject(phase, "report phase " + std::to_string(pi++)));
-  }
-  const JsonValue* totals =
-      RequireMember(doc, "totals", JsonValue::Kind::kObject, &st, "report");
-  if (totals == nullptr) return st;
-  IBFS_RETURN_NOT_OK(ValidatePhaseObject(*totals, "report totals"));
-
-  if (const JsonValue* cluster = doc.Find("cluster")) {
-    if (!cluster->is_object()) return Bad("report: cluster is not an object");
-    if (RequireMember(*cluster, "policy", JsonValue::Kind::kString, &st,
-                      "report cluster") == nullptr) {
-      return st;
-    }
-    for (const char* key :
-         {"device_count", "makespan_seconds", "speedup", "teps"}) {
-      if (RequireMember(*cluster, key, JsonValue::Kind::kNumber, &st,
-                        "report cluster") == nullptr) {
-        return st;
-      }
-    }
-  }
-
-  if (const JsonValue* comm = doc.Find("comm")) {
-    if (!comm->is_object()) return Bad("report: comm is not an object");
-    if (RequireMember(*comm, "schedule", JsonValue::Kind::kString, &st,
-                      "report comm") == nullptr) {
-      return st;
-    }
-    for (const char* key :
-         {"partitions", "link_gbps", "link_us", "compute_seconds",
-          "comm_seconds", "bytes_on_wire", "rounds", "supersteps",
-          "edge_imbalance"}) {
-      if (RequireMember(*comm, key, JsonValue::Kind::kNumber, &st,
-                        "report comm") == nullptr) {
-        return st;
-      }
-    }
-    for (const char* key :
-         {"partition_vertices", "partition_edges", "device_seconds"}) {
-      if (RequireMember(*comm, key, JsonValue::Kind::kArray, &st,
-                        "report comm") == nullptr) {
-        return st;
-      }
-    }
-  }
-
-  if (const JsonValue* metrics = doc.Find("metrics")) {
-    IBFS_RETURN_NOT_OK(ValidateMetrics(*metrics));
-  }
-  return Status::OK();
-}
-
-Status ValidateRunReportFile(const std::string& path) {
-  Result<JsonValue> doc = ParseJsonFile(path);
-  if (!doc.ok()) return doc.status();
-  return ValidateRunReport(doc.value());
-}
-
-Status ValidateServiceReport(const JsonValue& doc) {
-  if (!doc.is_object()) {
-    return Bad("service report: top level is not an object");
-  }
-  Status st;
-  const JsonValue* schema = RequireMember(
-      doc, "schema", JsonValue::Kind::kString, &st, "service report");
-  if (schema == nullptr) return st;
-  if (schema->string_value() != "ibfs.service_report") {
-    return Bad("service report: unexpected schema \"" +
-               schema->string_value() + "\"");
-  }
-  const JsonValue* version = RequireMember(
-      doc, "schema_version", JsonValue::Kind::kNumber, &st, "service report");
-  if (version == nullptr) return st;
-  if (version->number_value() < 1) {
-    return Bad("service report: bad schema_version");
-  }
-
-  const JsonValue* workload = RequireMember(
-      doc, "workload", JsonValue::Kind::kObject, &st, "service report");
-  if (workload == nullptr) return st;
-  for (const char* key : {"graph", "strategy", "grouping", "arrival"}) {
-    if (RequireMember(*workload, key, JsonValue::Kind::kString, &st,
-                      "service report workload") == nullptr) {
-      return st;
-    }
-  }
-  for (const char* key : {"vertex_count", "edge_count", "offered_qps",
-                          "duration_seconds", "queries"}) {
-    if (RequireMember(*workload, key, JsonValue::Kind::kNumber, &st,
-                      "service report workload") == nullptr) {
-      return st;
-    }
-  }
-
-  const JsonValue* service = RequireMember(
-      doc, "service", JsonValue::Kind::kObject, &st, "service report");
-  if (service == nullptr) return st;
-  for (const char* key :
-       {"max_batch", "max_delay_ms", "execute_threads", "batches", "groups",
-        "size_closes", "deadline_closes", "shutdown_closes",
-        "mean_batch_size"}) {
-    if (RequireMember(*service, key, JsonValue::Kind::kNumber, &st,
-                      "service report service") == nullptr) {
-      return st;
-    }
-  }
-
-  const JsonValue* results = RequireMember(
-      doc, "results", JsonValue::Kind::kObject, &st, "service report");
-  if (results == nullptr) return st;
-  for (const char* key :
-       {"completed", "failed", "achieved_qps", "wall_seconds", "sim_seconds",
-        "teps", "sharing_ratio", "oracle_sharing_ratio",
-        "sharing_fraction"}) {
-    if (RequireMember(*results, key, JsonValue::Kind::kNumber, &st,
-                      "service report results") == nullptr) {
-      return st;
-    }
-  }
-
-  const JsonValue* latency = RequireMember(
-      doc, "latency_ms", JsonValue::Kind::kObject, &st, "service report");
-  if (latency == nullptr) return st;
-  for (const char* which : {"queue", "execute", "total"}) {
-    const std::string where =
-        std::string("service report latency_ms ") + which;
-    const JsonValue* dist = RequireMember(*latency, which,
-                                          JsonValue::Kind::kObject, &st,
-                                          "service report latency_ms");
-    if (dist == nullptr) return st;
-    for (const char* key : {"p50", "p95", "p99", "mean", "max"}) {
-      if (RequireMember(*dist, key, JsonValue::Kind::kNumber, &st, where) ==
-          nullptr) {
-        return st;
-      }
-    }
-    const double p50 = dist->Find("p50")->number_value();
-    const double p95 = dist->Find("p95")->number_value();
-    const double p99 = dist->Find("p99")->number_value();
-    if (p50 < 0.0 || p50 > p95 || p95 > p99) {
-      return Bad(where + ": percentiles must satisfy 0 <= p50 <= p95 <= p99");
-    }
-  }
-
-  // The cache section arrived in schema v2; v1 documents stay valid.
-  if (version->number_value() >= 2) {
-    const JsonValue* cache = RequireMember(
-        doc, "cache", JsonValue::Kind::kObject, &st, "service report");
-    if (cache == nullptr) return st;
-    if (RequireMember(*cache, "enabled", JsonValue::Kind::kBool, &st,
-                      "service report cache") == nullptr) {
-      return st;
-    }
-    for (const char* key :
-         {"hits", "misses", "insertions", "evictions", "quarantined",
-          "entries", "bytes_resident", "hit_ratio", "plan_hits",
-          "plan_misses"}) {
-      if (RequireMember(*cache, key, JsonValue::Kind::kNumber, &st,
-                        "service report cache") == nullptr) {
-        return st;
-      }
-    }
-    const double ratio = cache->Find("hit_ratio")->number_value();
-    if (ratio < 0.0 || ratio > 1.0) {
-      return Bad("service report cache: hit_ratio must be in [0, 1]");
-    }
-  }
-
-  if (const JsonValue* metrics = doc.Find("metrics")) {
-    IBFS_RETURN_NOT_OK(ValidateMetrics(*metrics));
-  }
-  return Status::OK();
-}
-
-Status ValidateServiceReportFile(const std::string& path) {
-  Result<JsonValue> doc = ParseJsonFile(path);
-  if (!doc.ok()) return doc.status();
-  return ValidateServiceReport(doc.value());
-}
-
-Status ValidateResilienceReport(const JsonValue& doc) {
-  if (!doc.is_object()) {
-    return Bad("resilience report: top level is not an object");
-  }
-  Status st;
-  const JsonValue* schema = RequireMember(
-      doc, "schema", JsonValue::Kind::kString, &st, "resilience report");
-  if (schema == nullptr) return st;
-  if (schema->string_value() != "ibfs.resilience_report") {
-    return Bad("resilience report: unexpected schema \"" +
-               schema->string_value() + "\"");
-  }
-  const JsonValue* version =
-      RequireMember(doc, "schema_version", JsonValue::Kind::kNumber, &st,
-                    "resilience report");
-  if (version == nullptr) return st;
-  if (version->number_value() < 1) {
-    return Bad("resilience report: bad schema_version");
-  }
-
-  const JsonValue* workload = RequireMember(
-      doc, "workload", JsonValue::Kind::kObject, &st, "resilience report");
-  if (workload == nullptr) return st;
-  for (const char* key : {"graph", "strategy", "grouping"}) {
-    if (RequireMember(*workload, key, JsonValue::Kind::kString, &st,
-                      "resilience report workload") == nullptr) {
-      return st;
-    }
-  }
-  for (const char* key : {"vertex_count", "edge_count", "queries",
-                          "offered_qps", "duration_seconds"}) {
-    if (RequireMember(*workload, key, JsonValue::Kind::kNumber, &st,
-                      "resilience report workload") == nullptr) {
-      return st;
-    }
-  }
-
-  const JsonValue* plan = RequireMember(
-      doc, "fault_plan", JsonValue::Kind::kObject, &st, "resilience report");
-  if (plan == nullptr) return st;
-  if (RequireMember(*plan, "spec", JsonValue::Kind::kString, &st,
-                    "resilience report fault_plan") == nullptr) {
-    return st;
-  }
-  for (const char* key : {"device_count", "seed", "max_attempts",
-                          "deadline_ms", "max_pending"}) {
-    if (RequireMember(*plan, key, JsonValue::Kind::kNumber, &st,
-                      "resilience report fault_plan") == nullptr) {
-      return st;
-    }
-  }
-  if (plan->Find("cpu_fallback") == nullptr) {
-    return Bad("resilience report fault_plan: missing \"cpu_fallback\"");
-  }
-
-  const JsonValue* outcomes = RequireMember(
-      doc, "outcomes", JsonValue::Kind::kObject, &st, "resilience report");
-  if (outcomes == nullptr) return st;
-  for (const char* key :
-       {"completed", "failed", "deadline_exceeded", "shed", "degraded",
-        "retries", "transient_faults", "corruptions_detected",
-        "breaker_opened", "fallback_groups", "wall_seconds"}) {
-    const JsonValue* value =
-        RequireMember(*outcomes, key, JsonValue::Kind::kNumber, &st,
-                      "resilience report outcomes");
-    if (value == nullptr) return st;
-    if (value->number_value() < 0.0) {
-      return Bad(std::string("resilience report outcomes: \"") + key +
-                 "\" is negative");
-    }
-  }
-
-  const JsonValue* verification =
-      RequireMember(doc, "verification", JsonValue::Kind::kObject, &st,
-                    "resilience report");
-  if (verification == nullptr) return st;
-  for (const char* key : {"checksums_compared", "checksum_mismatches"}) {
-    if (RequireMember(*verification, key, JsonValue::Kind::kNumber, &st,
-                      "resilience report verification") == nullptr) {
-      return st;
-    }
-  }
-  const double compared =
-      verification->Find("checksums_compared")->number_value();
-  const double mismatches =
-      verification->Find("checksum_mismatches")->number_value();
-  if (compared < 0.0 || mismatches < 0.0 || mismatches > compared) {
-    return Bad(
-        "resilience report verification: need 0 <= checksum_mismatches <= "
-        "checksums_compared");
-  }
-
-  if (const JsonValue* metrics = doc.Find("metrics")) {
-    IBFS_RETURN_NOT_OK(ValidateMetrics(*metrics));
-  }
-  return Status::OK();
-}
-
-Status ValidateResilienceReportFile(const std::string& path) {
-  Result<JsonValue> doc = ParseJsonFile(path);
-  if (!doc.ok()) return doc.status();
-  return ValidateResilienceReport(doc.value());
-}
-
-Status ValidateFleetReport(const JsonValue& doc) {
-  if (!doc.is_object()) {
-    return Bad("fleet report: top level is not an object");
-  }
-  Status st;
-  const JsonValue* schema = RequireMember(
-      doc, "schema", JsonValue::Kind::kString, &st, "fleet report");
-  if (schema == nullptr) return st;
-  if (schema->string_value() != "ibfs.fleet_report") {
-    return Bad("fleet report: unexpected schema \"" +
-               schema->string_value() + "\"");
-  }
-  const JsonValue* version = RequireMember(
-      doc, "schema_version", JsonValue::Kind::kNumber, &st, "fleet report");
-  if (version == nullptr) return st;
-  if (version->number_value() < 1) {
-    return Bad("fleet report: bad schema_version");
-  }
-  const bool v2 = version->number_value() >= 2;
-
-  const JsonValue* fleet = RequireMember(
-      doc, "fleet", JsonValue::Kind::kObject, &st, "fleet report");
-  if (fleet == nullptr) return st;
-  for (const char* key : {"graph", "strategy", "grouping"}) {
-    if (RequireMember(*fleet, key, JsonValue::Kind::kString, &st,
-                      "fleet report fleet") == nullptr) {
-      return st;
-    }
-  }
-  for (const char* key :
-       {"vertex_count", "edge_count", "shards", "vnodes", "ring_seed"}) {
-    if (RequireMember(*fleet, key, JsonValue::Kind::kNumber, &st,
-                      "fleet report fleet") == nullptr) {
-      return st;
-    }
-  }
-  if (fleet->Find("shards")->number_value() < 1.0) {
-    return Bad("fleet report fleet: \"shards\" must be >= 1");
-  }
-
-  const JsonValue* workload = RequireMember(
-      doc, "workload", JsonValue::Kind::kObject, &st, "fleet report");
-  if (workload == nullptr) return st;
-  if (RequireMember(*workload, "arrival", JsonValue::Kind::kString, &st,
-                    "fleet report workload") == nullptr) {
-    return st;
-  }
-  for (const char* key : {"offered_qps", "duration_seconds", "queries",
-                          "multi_source", "multi_queries", "killed_shard"}) {
-    if (RequireMember(*workload, key, JsonValue::Kind::kNumber, &st,
-                      "fleet report workload") == nullptr) {
-      return st;
-    }
-  }
-  if (v2 && RequireMember(*workload, "joined_shards",
-                          JsonValue::Kind::kNumber, &st,
-                          "fleet report workload") == nullptr) {
-    return st;
-  }
-
-  if (v2) {
-    const JsonValue* elasticity = RequireMember(
-        doc, "elasticity", JsonValue::Kind::kObject, &st, "fleet report");
-    if (elasticity == nullptr) return st;
-    for (const char* key :
-         {"replication", "shard_joins", "warmup_entries", "hedges_fired",
-          "hedges_won", "hedges_cancelled", "replica_mismatches",
-          "replica_cache_writes", "recoveries", "rebalance_runs",
-          "weight_changes"}) {
-      const JsonValue* value = RequireMember(
-          *elasticity, key, JsonValue::Kind::kNumber, &st,
-          "fleet report elasticity");
-      if (value == nullptr) return st;
-      if (value->number_value() < 0.0) {
-        return Bad(std::string("fleet report elasticity: \"") + key +
-                   "\" is negative");
-      }
-    }
-    if (elasticity->Find("replication")->number_value() < 1.0) {
-      return Bad("fleet report elasticity: \"replication\" must be >= 1");
-    }
-    const double fired = elasticity->Find("hedges_fired")->number_value();
-    const double won = elasticity->Find("hedges_won")->number_value();
-    if (won > fired) {
-      return Bad(
-          "fleet report elasticity: need hedges_won <= hedges_fired");
-    }
-  }
-
-  const JsonValue* shards = RequireMember(
-      doc, "shards_detail", JsonValue::Kind::kArray, &st, "fleet report");
-  if (shards == nullptr) return st;
-  size_t si = 0;
-  for (const JsonValue& row : shards->array()) {
-    const std::string where =
-        "fleet report shards_detail " + std::to_string(si++);
-    if (!row.is_object()) return Bad(where + ": not an object");
-    const JsonValue* health =
-        RequireMember(row, "health", JsonValue::Kind::kString, &st, where);
-    if (health == nullptr) return st;
-    const std::string& h = health->string_value();
-    if (h != "healthy" && h != "degraded" && h != "down") {
-      return Bad(where + ": unknown health \"" + h + "\"");
-    }
-    for (const char* key :
-         {"shard", "routed", "queries", "completed", "failed", "degraded",
-          "cache_hits", "batches", "groups", "sim_seconds"}) {
-      const JsonValue* value =
-          RequireMember(row, key, JsonValue::Kind::kNumber, &st, where);
-      if (value == nullptr) return st;
-      if (value->number_value() < 0.0) {
-        return Bad(where + ": \"" + std::string(key) + "\" is negative");
-      }
-    }
-    if (v2) {
-      const JsonValue* weight =
-          RequireMember(row, "weight", JsonValue::Kind::kNumber, &st, where);
-      if (weight == nullptr) return st;
-      if (weight->number_value() < 0.0) {
-        return Bad(where + ": \"weight\" is negative");
-      }
-    }
-  }
-
-  const JsonValue* aggregate = RequireMember(
-      doc, "aggregate", JsonValue::Kind::kObject, &st, "fleet report");
-  if (aggregate == nullptr) return st;
-  for (const char* key :
-       {"completed", "failed", "achieved_qps", "wall_seconds", "imbalance",
-        "failover_reroutes", "fallback_answers", "healthy", "degraded",
-        "down"}) {
-    const JsonValue* value = RequireMember(
-        *aggregate, key, JsonValue::Kind::kNumber, &st,
-        "fleet report aggregate");
-    if (value == nullptr) return st;
-    if (value->number_value() < 0.0) {
-      return Bad(std::string("fleet report aggregate: \"") + key +
-                 "\" is negative");
-    }
-  }
-
-  const JsonValue* verification = RequireMember(
-      doc, "verification", JsonValue::Kind::kObject, &st, "fleet report");
-  if (verification == nullptr) return st;
-  for (const char* key : {"checksum", "unanswered", "checksums_compared",
-                          "checksum_mismatches"}) {
-    if (RequireMember(*verification, key, JsonValue::Kind::kNumber, &st,
-                      "fleet report verification") == nullptr) {
-      return st;
-    }
-  }
-  if (verification->Find("unanswered")->number_value() < 0.0) {
-    return Bad("fleet report verification: \"unanswered\" is negative");
-  }
-  const double compared =
-      verification->Find("checksums_compared")->number_value();
-  const double mismatches =
-      verification->Find("checksum_mismatches")->number_value();
-  if (compared < 0.0 || mismatches < 0.0 || mismatches > compared) {
-    return Bad(
-        "fleet report verification: need 0 <= checksum_mismatches <= "
-        "checksums_compared");
-  }
-
-  const JsonValue* latency = RequireMember(
-      doc, "latency_ms", JsonValue::Kind::kObject, &st, "fleet report");
-  if (latency == nullptr) return st;
-  const JsonValue* total = RequireMember(
-      *latency, "total", JsonValue::Kind::kObject, &st,
-      "fleet report latency_ms");
-  if (total == nullptr) return st;
-  for (const char* key : {"p50", "p95", "p99", "mean", "max"}) {
-    if (RequireMember(*total, key, JsonValue::Kind::kNumber, &st,
-                      "fleet report latency_ms total") == nullptr) {
-      return st;
-    }
-  }
-  const double p50 = total->Find("p50")->number_value();
-  const double p95 = total->Find("p95")->number_value();
-  const double p99 = total->Find("p99")->number_value();
-  if (p50 > p95 || p95 > p99) {
-    return Bad("fleet report latency_ms total: need p50 <= p95 <= p99");
-  }
-
-  if (const JsonValue* metrics = doc.Find("metrics")) {
-    IBFS_RETURN_NOT_OK(ValidateMetrics(*metrics));
-  }
-  return Status::OK();
-}
-
-Status ValidateFleetReportFile(const std::string& path) {
-  Result<JsonValue> doc = ParseJsonFile(path);
-  if (!doc.ok()) return doc.status();
-  return ValidateFleetReport(doc.value());
 }
 
 Status ValidateMetrics(const JsonValue& doc) {
@@ -716,101 +134,6 @@ Status ValidateMetrics(const JsonValue& doc) {
     }
   }
   return Status::OK();
-}
-
-Status ValidateMetricsFile(const std::string& path) {
-  Result<JsonValue> doc = ParseJsonFile(path);
-  if (!doc.ok()) return doc.status();
-  return ValidateMetrics(doc.value());
-}
-
-Status ValidateFlightRecord(const JsonValue& doc) {
-  if (!doc.is_object()) {
-    return Bad("flight record: top level is not an object");
-  }
-  Status st;
-  const JsonValue* schema = RequireMember(
-      doc, "schema", JsonValue::Kind::kString, &st, "flight record");
-  if (schema == nullptr) return st;
-  if (schema->string_value() != "ibfs.flight_record") {
-    return Bad("flight record: unexpected schema \"" +
-               schema->string_value() + "\"");
-  }
-  const JsonValue* version = RequireMember(
-      doc, "schema_version", JsonValue::Kind::kNumber, &st, "flight record");
-  if (version == nullptr) return st;
-  if (version->number_value() < 1) {
-    return Bad("flight record: bad schema_version");
-  }
-  if (RequireMember(doc, "trigger", JsonValue::Kind::kString, &st,
-                    "flight record") == nullptr) {
-    return st;
-  }
-  for (const char* key : {"ts_s", "dump_index"}) {
-    if (RequireMember(doc, key, JsonValue::Kind::kNumber, &st,
-                      "flight record") == nullptr) {
-      return st;
-    }
-  }
-
-  const JsonValue* queries = RequireMember(
-      doc, "queries", JsonValue::Kind::kArray, &st, "flight record");
-  if (queries == nullptr) return st;
-  size_t qi = 0;
-  for (const JsonValue& query : queries->array()) {
-    const std::string where = "flight record query " + std::to_string(qi++);
-    if (!query.is_object()) return Bad(where + ": not an object");
-    if (RequireMember(query, "status", JsonValue::Kind::kString, &st,
-                      where) == nullptr) {
-      return st;
-    }
-    for (const char* key : {"ok", "cached", "degraded"}) {
-      if (RequireMember(query, key, JsonValue::Kind::kBool, &st, where) ==
-          nullptr) {
-        return st;
-      }
-    }
-    for (const char* key :
-         {"ts_s", "query_id", "source", "attempts", "batch_id",
-          "group_index", "queue_ms", "batch_ms", "execute_ms", "total_ms",
-          "reached"}) {
-      if (RequireMember(query, key, JsonValue::Kind::kNumber, &st, where) ==
-          nullptr) {
-        return st;
-      }
-    }
-    for (const char* key : {"queue_ms", "execute_ms", "total_ms"}) {
-      if (query.Find(key)->number_value() < 0.0) {
-        return Bad(where + ": \"" + key + "\" is negative");
-      }
-    }
-  }
-
-  const JsonValue* events = RequireMember(
-      doc, "events", JsonValue::Kind::kArray, &st, "flight record");
-  if (events == nullptr) return st;
-  size_t ei = 0;
-  for (const JsonValue& event : events->array()) {
-    const std::string where = "flight record event " + std::to_string(ei++);
-    if (!event.is_object()) return Bad(where + ": not an object");
-    if (RequireMember(event, "ts_s", JsonValue::Kind::kNumber, &st, where) ==
-        nullptr) {
-      return st;
-    }
-    for (const char* key : {"name", "detail"}) {
-      if (RequireMember(event, key, JsonValue::Kind::kString, &st, where) ==
-          nullptr) {
-        return st;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status ValidateFlightRecordFile(const std::string& path) {
-  Result<JsonValue> doc = ParseJsonFile(path);
-  if (!doc.ok()) return doc.status();
-  return ValidateFlightRecord(doc.value());
 }
 
 }  // namespace ibfs::obs

@@ -1200,6 +1200,16 @@ TEST(FleetValidatorTest, RejectsTamperedReports) {
   auto doc2 = obs::ParseJson(text);
   ASSERT_TRUE(doc2.ok()) << doc2.status().ToString();
   EXPECT_FALSE(obs::ValidateFleetReport(doc2.value()).ok());
+
+  // Like every latency distribution, the fleet's total_ms must satisfy
+  // 0 <= p50 <= p95 <= p99.
+  obs::FleetReport negative_p50 = run.value();
+  negative_p50.total_ms.p50 = -0.5;
+  std::ostringstream os3;
+  negative_p50.WriteJson(os3);
+  auto doc3 = obs::ParseJson(os3.str());
+  ASSERT_TRUE(doc3.ok()) << doc3.status().ToString();
+  EXPECT_FALSE(obs::ValidateFleetReport(doc3.value()).ok());
 }
 
 }  // namespace

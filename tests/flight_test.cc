@@ -115,7 +115,8 @@ TEST(FlightRecorderTest, TriggerWritesValidatedFileAndRateLimits) {
   EXPECT_TRUE(recorder.Trigger("breaker_open", 7.0));
   EXPECT_EQ(recorder.dumps(), 2);
 
-  const Status valid = ValidateFlightRecordFile(options.dump_path);
+  const Status valid =
+      ValidateFile(options.dump_path, ValidateFlightRecord);
   EXPECT_TRUE(valid.ok()) << valid.ToString();
   std::remove(options.dump_path.c_str());
 }
@@ -226,7 +227,7 @@ TEST(FlightServiceE2E, AccessLogIdsMatchSpanContexts) {
   EXPECT_EQ(metrics.GetGauge("slo.alert_active")->value(), 1.0);
   EXPECT_GE(flight.dumps(), 1);
   const Status flight_valid =
-      ValidateFlightRecordFile(flight_options.dump_path);
+      ValidateFile(flight_options.dump_path, ValidateFlightRecord);
   EXPECT_TRUE(flight_valid.ok()) << flight_valid.ToString();
 
   // Collect every query id named by a span "ctx" arg ("q3,q7,...").

@@ -137,6 +137,12 @@ int Usage() {
   return 2;
 }
 
+// Prints "<command>: <status>" to stderr and returns the failure exit code.
+int Fail(const char* command, const Status& status) {
+  std::fprintf(stderr, "%s: %s\n", command, status.ToString().c_str());
+  return 1;
+}
+
 // Telemetry sinks for one CLI invocation, driven by --trace-out,
 // --metrics-out, and --report-out. The tracer is live only when a trace
 // file was requested; metrics are live when either a metrics file or a
@@ -174,14 +180,15 @@ struct ObsSession {
     return observer;
   }
 
-  // Writes the requested files; `report` may be null when the command has
-  // no report to offer. Returns 0 on success, 1 on any write failure.
-  int Flush(const char* command, const obs::RunReport* report) {
+  // Writes the requested files; `report` is the command's own document
+  // (run, service, resilience or fleet report). Returns 0 on success, 1 on
+  // any write failure.
+  template <typename Report>
+  int Flush(const char* command, const Report& report) {
     int rc = 0;
     auto emit = [&](const Status& status, const std::string& path) {
       if (!status.ok()) {
-        std::fprintf(stderr, "%s: %s\n", command, status.ToString().c_str());
-        rc = 1;
+        rc = Fail(command, status);
       } else {
         std::printf("wrote %s\n", path.c_str());
       }
@@ -190,8 +197,8 @@ struct ObsSession {
     if (!metrics_out.empty()) {
       emit(metrics.WriteFile(metrics_out), metrics_out);
     }
-    if (!report_out.empty() && report != nullptr) {
-      emit(report->WriteFile(report_out, want_metrics() ? &metrics : nullptr),
+    if (!report_out.empty()) {
+      emit(report.WriteFile(report_out, want_metrics() ? &metrics : nullptr),
            report_out);
     }
     return rc;
@@ -375,25 +382,43 @@ Result<EngineOptions> OptionsFromFlags(const Flags& flags) {
   return options;
 }
 
-// Shared by serve and chaos: the result/plan cache knobs. Default-on with
-// a 64 MB budget; --no-cache restores the execute-everything behavior.
-service::CacheOptions CacheFromFlags(const Flags& flags) {
-  service::CacheOptions cache;
-  cache.enabled = !flags.GetBool("no-cache");
-  cache.result_budget_bytes = flags.GetInt("cache-mb", 64) << 20;
-  return cache;
+// Shared by serve, chaos and fleet: the open-loop arrival workload.
+Result<service::WorkloadOptions> WorkloadFromFlags(const Flags& flags) {
+  service::WorkloadOptions workload;
+  const std::string arrival = flags.GetString("arrival", "poisson");
+  const auto parsed = service::ParseArrivalProcess(arrival);
+  if (!parsed.has_value()) {
+    return Status::InvalidArgument("unknown arrival process " + arrival);
+  }
+  workload.arrival = *parsed;
+  workload.qps = flags.GetDouble("qps", 200.0);
+  workload.duration_s = flags.GetDouble("duration", 1.0);
+  workload.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  workload.burst_size = static_cast<int>(flags.GetInt("burst-size", 16));
+  workload.source_pool = flags.GetInt("source-pool", 0);
+  return workload;
 }
 
-// Shared by serve and chaos: the service-level resilience knobs.
-service::ResilienceOptions ResilienceFromFlags(const Flags& flags) {
-  service::ResilienceOptions resilience;
-  resilience.deadline_ms = flags.GetDouble("deadline-ms", 0.0);
-  resilience.max_pending =
+// Shared by serve, chaos and fleet (per shard): the batcher, the
+// resilience knobs, and the result/plan cache (default-on with a 64 MB
+// budget; --no-cache restores the execute-everything behavior).
+service::ServiceOptions ServiceOptionsFromFlags(const Flags& flags,
+                                                const EngineOptions& engine) {
+  service::ServiceOptions options;
+  options.max_batch = static_cast<int>(flags.GetInt("max-batch", 64));
+  options.max_delay_ms = flags.GetDouble("max-delay-ms", 2.0);
+  options.execute_threads = static_cast<int>(flags.GetInt("threads", 0));
+  options.keep_depths = false;  // depth checksums are the CLI's verdict
+  options.engine = engine;
+  options.resilience.deadline_ms = flags.GetDouble("deadline-ms", 0.0);
+  options.resilience.max_pending =
       static_cast<int>(flags.GetInt("max-pending", 0));
-  resilience.breaker_threshold =
+  options.resilience.breaker_threshold =
       static_cast<int>(flags.GetInt("breaker-threshold", 3));
-  resilience.cpu_fallback = !flags.GetBool("no-cpu-fallback");
-  return resilience;
+  options.resilience.cpu_fallback = !flags.GetBool("no-cpu-fallback");
+  options.cache.enabled = !flags.GetBool("no-cache");
+  options.cache.result_budget_bytes = flags.GetInt("cache-mb", 64) << 20;
+  return options;
 }
 
 int CmdGenerate(const Flags& flags) {
@@ -418,15 +443,9 @@ int CmdGenerate(const Flags& flags) {
     params.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
     built = gen::GenerateUniform(params);
   }
-  if (!built.ok()) {
-    std::fprintf(stderr, "generate: %s\n", built.status().ToString().c_str());
-    return 1;
-  }
+  if (!built.ok()) return Fail("generate", built.status());
   const Status saved = graph::SaveBinary(built.value(), out);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "generate: %s\n", saved.ToString().c_str());
-    return 1;
-  }
+  if (!saved.ok()) return Fail("generate", saved);
   std::printf("wrote %s: %lld vertices, %lld directed edges\n", out.c_str(),
               static_cast<long long>(built.value().vertex_count()),
               static_cast<long long>(built.value().edge_count()));
@@ -435,10 +454,7 @@ int CmdGenerate(const Flags& flags) {
 
 int CmdStats(const Flags& flags) {
   auto graph = LoadGraphArg(flags);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "stats: %s\n", graph.status().ToString().c_str());
-    return 1;
-  }
+  if (!graph.ok()) return Fail("stats", graph.status());
   const auto stats = graph::ComputeDegreeStats(graph.value());
   const auto giant = graph::GiantComponent(graph.value());
   std::printf("vertices:        %lld\n",
@@ -467,15 +483,9 @@ int CmdStats(const Flags& flags) {
 
 int CmdRun(const Flags& flags) {
   auto graph = LoadGraphArg(flags);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "run: %s\n", graph.status().ToString().c_str());
-    return 1;
-  }
+  if (!graph.ok()) return Fail("run", graph.status());
   auto options = OptionsFromFlags(flags);
-  if (!options.ok()) {
-    std::fprintf(stderr, "run: %s\n", options.status().ToString().c_str());
-    return 1;
-  }
+  if (!options.ok()) return Fail("run", options.status());
   const int64_t instances = flags.GetInt("instances", 128);
   const auto sources = graph::SampleConnectedSources(
       graph.value(), instances,
@@ -485,10 +495,7 @@ int CmdRun(const Flags& flags) {
   opts.observer = session.MakeObserver();
   Engine engine(&graph.value(), opts);
   auto result = engine.Run(sources);
-  if (!result.ok()) {
-    std::fprintf(stderr, "run: %s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return Fail("run", result.status());
   const EngineResult& res = result.value();
   std::printf("instances:       %lld in %zu groups\n",
               static_cast<long long>(instances), res.groups.size());
@@ -505,24 +512,16 @@ int CmdRun(const Flags& flags) {
   }
   const obs::RunReport report = BuildRunReport(
       GraphLabel(flags), graph.value(), opts, instances, res);
-  return session.Flush("run", &report);
+  return session.Flush("run", report);
 }
 
 // Runs concurrent BFS and validates every instance's depths with the
 // Graph500-style structural checks.
 int CmdValidate(const Flags& flags) {
   auto graph = LoadGraphArg(flags);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "validate: %s\n",
-                 graph.status().ToString().c_str());
-    return 1;
-  }
+  if (!graph.ok()) return Fail("validate", graph.status());
   auto options = OptionsFromFlags(flags);
-  if (!options.ok()) {
-    std::fprintf(stderr, "validate: %s\n",
-                 options.status().ToString().c_str());
-    return 1;
-  }
+  if (!options.ok()) return Fail("validate", options.status());
   EngineOptions opts = options.value();
   opts.keep_depths = true;
   const int64_t instances = flags.GetInt("instances", 64);
@@ -531,11 +530,7 @@ int CmdValidate(const Flags& flags) {
       static_cast<uint64_t>(flags.GetInt("seed", 1)));
   Engine engine(&graph.value(), opts);
   auto result = engine.Run(sources);
-  if (!result.ok()) {
-    std::fprintf(stderr, "validate: %s\n",
-                 result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return Fail("validate", result.status());
   int64_t checked = 0;
   for (size_t g = 0; g < result.value().groups.size(); ++g) {
     for (size_t j = 0; j < result.value().group_sources[g].size(); ++j) {
@@ -560,16 +555,9 @@ int CmdValidate(const Flags& flags) {
 // --out FILE) for offline plotting.
 int CmdTraces(const Flags& flags) {
   auto graph = LoadGraphArg(flags);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "traces: %s\n", graph.status().ToString().c_str());
-    return 1;
-  }
+  if (!graph.ok()) return Fail("traces", graph.status());
   auto options = OptionsFromFlags(flags);
-  if (!options.ok()) {
-    std::fprintf(stderr, "traces: %s\n",
-                 options.status().ToString().c_str());
-    return 1;
-  }
+  if (!options.ok()) return Fail("traces", options.status());
   EngineOptions opts = options.value();
   opts.traversal.collect_instance_stats = true;
   const int64_t instances = flags.GetInt("instances", 128);
@@ -578,11 +566,7 @@ int CmdTraces(const Flags& flags) {
       static_cast<uint64_t>(flags.GetInt("seed", 1)));
   Engine engine(&graph.value(), opts);
   auto result = engine.Run(sources);
-  if (!result.ok()) {
-    std::fprintf(stderr, "traces: %s\n",
-                 result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return Fail("traces", result.status());
   const std::string out_path = flags.GetString("out");
   if (out_path.empty()) {
     WriteLevelTracesCsv(result.value(), std::cout);
@@ -600,16 +584,9 @@ int CmdTraces(const Flags& flags) {
 
 int CmdCluster(const Flags& flags) {
   auto graph = LoadGraphArg(flags);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "cluster: %s\n", graph.status().ToString().c_str());
-    return 1;
-  }
+  if (!graph.ok()) return Fail("cluster", graph.status());
   auto options = OptionsFromFlags(flags);
-  if (!options.ok()) {
-    std::fprintf(stderr, "cluster: %s\n",
-                 options.status().ToString().c_str());
-    return 1;
-  }
+  if (!options.ok()) return Fail("cluster", options.status());
   const int64_t instances = flags.GetInt("instances", 1024);
   const int gpus = static_cast<int>(flags.GetInt("gpus", 4));
   const auto policy = flags.GetBool("lpt")
@@ -642,11 +619,7 @@ int CmdCluster(const Flags& flags) {
     prun.link_gbps = flags.GetDouble("link-gbps", 0.0);
     prun.link_us = flags.GetDouble("link-us", -1.0);
     auto part_result = RunPartitioned(graph.value(), sources, opts, prun);
-    if (!part_result.ok()) {
-      std::fprintf(stderr, "cluster: %s\n",
-                   part_result.status().ToString().c_str());
-      return 1;
-    }
+    if (!part_result.ok()) return Fail("cluster", part_result.status());
     const PartitionedRunResult& res = part_result.value();
     std::printf("partitions:      %d (%s, %.1f GB/s, %.1f us)\n",
                 res.partitions, gpusim::CommScheduleName(res.schedule),
@@ -664,15 +637,11 @@ int CmdCluster(const Flags& flags) {
     obs::RunReport report = BuildPartitionedRunReport(
         GraphLabel(flags), graph.value(), opts, instances, res);
     AttachPartitionSection(res, &report);
-    return session.Flush("cluster", &report);
+    return session.Flush("cluster", report);
   }
 
   auto result = RunOnCluster(graph.value(), sources, opts, gpus, policy);
-  if (!result.ok()) {
-    std::fprintf(stderr, "cluster: %s\n",
-                 result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return Fail("cluster", result.status());
   const ClusterRunResult& res = result.value();
   std::printf("groups:          %lld\n",
               static_cast<long long>(res.group_count));
@@ -685,83 +654,41 @@ int CmdCluster(const Flags& flags) {
   obs::RunReport report = BuildRunReport(GraphLabel(flags), graph.value(),
                                          opts, instances, res.engine);
   AttachClusterSection(res, policy, &report);
-  return session.Flush("cluster", &report);
+  return session.Flush("cluster", report);
 }
 
 // Online serving: generates an open-loop workload, drives it through a
 // BfsService, and reports the latency/throughput/sharing SLOs.
 int CmdServe(const Flags& flags) {
   auto graph = LoadGraphArg(flags);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "serve: %s\n", graph.status().ToString().c_str());
-    return 1;
-  }
+  if (!graph.ok()) return Fail("serve", graph.status());
   auto engine_options = OptionsFromFlags(flags);
-  if (!engine_options.ok()) {
-    std::fprintf(stderr, "serve: %s\n",
-                 engine_options.status().ToString().c_str());
-    return 1;
-  }
+  if (!engine_options.ok()) return Fail("serve", engine_options.status());
 
-  service::WorkloadOptions workload;
-  const std::string arrival = flags.GetString("arrival", "poisson");
-  const auto parsed = service::ParseArrivalProcess(arrival);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "serve: unknown arrival process %s\n",
-                 arrival.c_str());
-    return 1;
-  }
-  workload.arrival = *parsed;
-  workload.qps = flags.GetDouble("qps", 200.0);
-  workload.duration_s = flags.GetDouble("duration", 1.0);
-  workload.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  workload.burst_size = static_cast<int>(flags.GetInt("burst-size", 16));
-  workload.source_pool = flags.GetInt("source-pool", 0);
-  auto events = service::GenerateArrivals(graph.value(), workload);
-  if (!events.ok()) {
-    std::fprintf(stderr, "serve: %s\n", events.status().ToString().c_str());
-    return 1;
-  }
+  auto workload = WorkloadFromFlags(flags);
+  if (!workload.ok()) return Fail("serve", workload.status());
+  auto events = service::GenerateArrivals(graph.value(), workload.value());
+  if (!events.ok()) return Fail("serve", events.status());
 
   ObsSession session(flags);
-  service::ServiceOptions service_options;
-  service_options.max_batch =
-      static_cast<int>(flags.GetInt("max-batch", 64));
-  service_options.max_delay_ms = flags.GetDouble("max-delay-ms", 2.0);
-  service_options.execute_threads =
-      static_cast<int>(flags.GetInt("threads", 0));
-  service_options.keep_depths = false;  // checksums suffice for the CLI
-  service_options.engine = engine_options.value();
-  service_options.resilience = ResilienceFromFlags(flags);
-  service_options.cache = CacheFromFlags(flags);
+  service::ServiceOptions service_options =
+      ServiceOptionsFromFlags(flags, engine_options.value());
   LiveSession live;
   const Status live_setup = live.Setup(flags, &session, &service_options);
-  if (!live_setup.ok()) {
-    std::fprintf(stderr, "serve: %s\n", live_setup.ToString().c_str());
-    return 1;
-  }
+  if (!live_setup.ok()) return Fail("serve", live_setup);
   service_options.observer = session.MakeObserver();
   auto svc = service::BfsService::Create(&graph.value(), service_options);
-  if (!svc.ok()) {
-    std::fprintf(stderr, "serve: %s\n", svc.status().ToString().c_str());
-    return 1;
-  }
+  if (!svc.ok()) return Fail("serve", svc.status());
   live.StartExporter(&session, svc.value().get());
   auto drive = service::DriveWorkload(svc.value().get(), events.value());
-  if (!drive.ok()) {
-    std::fprintf(stderr, "serve: %s\n", drive.status().ToString().c_str());
-    return 1;
-  }
+  if (!drive.ok()) return Fail("serve", drive.status());
   live.Finish("serve", svc.value().get());
   auto oracle = service::OracleSharingRatio(
       graph.value(), engine_options.value(), events.value());
-  if (!oracle.ok()) {
-    std::fprintf(stderr, "serve: %s\n", oracle.status().ToString().c_str());
-    return 1;
-  }
+  if (!oracle.ok()) return Fail("serve", oracle.status());
 
   const obs::ServiceReport report = service::BuildServiceReport(
-      GraphLabel(flags), graph.value(), service_options, workload,
+      GraphLabel(flags), graph.value(), service_options, workload.value(),
       drive.value(), oracle.value());
   std::printf("queries:         %lld (%lld ok, %lld failed)\n",
               static_cast<long long>(report.queries),
@@ -813,21 +740,7 @@ int CmdServe(const Flags& flags) {
                 static_cast<long long>(stats.breaker_opened));
   }
 
-  // The service report has its own schema, so write it directly and use
-  // Flush only for the trace/metrics sinks.
-  int rc = session.Flush("serve", nullptr);
-  if (!session.report_out.empty()) {
-    const Status written = report.WriteFile(
-        session.report_out,
-        session.want_metrics() ? &session.metrics : nullptr);
-    if (!written.ok()) {
-      std::fprintf(stderr, "serve: %s\n", written.ToString().c_str());
-      rc = 1;
-    } else {
-      std::printf("wrote %s\n", session.report_out.c_str());
-    }
-  }
-  return rc;
+  return session.Flush("serve", report);
 }
 
 // Chaos run: same open-loop workload as `serve`, but with the fault plan
@@ -836,48 +749,20 @@ int CmdServe(const Flags& flags) {
 // trade away correctness.
 int CmdChaos(const Flags& flags) {
   auto graph = LoadGraphArg(flags);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "chaos: %s\n", graph.status().ToString().c_str());
-    return 1;
-  }
+  if (!graph.ok()) return Fail("chaos", graph.status());
   auto engine_options = OptionsFromFlags(flags);
-  if (!engine_options.ok()) {
-    std::fprintf(stderr, "chaos: %s\n",
-                 engine_options.status().ToString().c_str());
-    return 1;
-  }
+  if (!engine_options.ok()) return Fail("chaos", engine_options.status());
 
   service::ChaosOptions chaos;
-  const std::string arrival = flags.GetString("arrival", "poisson");
-  const auto parsed = service::ParseArrivalProcess(arrival);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "chaos: unknown arrival process %s\n",
-                 arrival.c_str());
-    return 1;
-  }
-  chaos.workload.arrival = *parsed;
-  chaos.workload.qps = flags.GetDouble("qps", 200.0);
-  chaos.workload.duration_s = flags.GetDouble("duration", 1.0);
-  chaos.workload.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  chaos.workload.burst_size =
-      static_cast<int>(flags.GetInt("burst-size", 16));
-  chaos.workload.source_pool = flags.GetInt("source-pool", 0);
+  auto workload = WorkloadFromFlags(flags);
+  if (!workload.ok()) return Fail("chaos", workload.status());
+  chaos.workload = workload.value();
 
   ObsSession session(flags);
-  chaos.service.max_batch = static_cast<int>(flags.GetInt("max-batch", 64));
-  chaos.service.max_delay_ms = flags.GetDouble("max-delay-ms", 2.0);
-  chaos.service.execute_threads =
-      static_cast<int>(flags.GetInt("threads", 0));
-  chaos.service.keep_depths = false;  // the checksum is the verdict
-  chaos.service.engine = engine_options.value();
-  chaos.service.resilience = ResilienceFromFlags(flags);
-  chaos.service.cache = CacheFromFlags(flags);
+  chaos.service = ServiceOptionsFromFlags(flags, engine_options.value());
   LiveSession live;
   const Status live_setup = live.Setup(flags, &session, &chaos.service);
-  if (!live_setup.ok()) {
-    std::fprintf(stderr, "chaos: %s\n", live_setup.ToString().c_str());
-    return 1;
-  }
+  if (!live_setup.ok()) return Fail("chaos", live_setup);
   chaos.service.observer = session.MakeObserver();
 
   // RunChaos builds its service internally, so the exporter only rewrites
@@ -886,10 +771,7 @@ int CmdChaos(const Flags& flags) {
   live.StartExporter(&session, nullptr);
   auto run = service::RunChaos(GraphLabel(flags), graph.value(), chaos);
   live.Finish("chaos", nullptr);
-  if (!run.ok()) {
-    std::fprintf(stderr, "chaos: %s\n", run.status().ToString().c_str());
-    return 1;
-  }
+  if (!run.ok()) return Fail("chaos", run.status());
   const obs::ResilienceReport& report = run.value();
   std::printf("fault plan:      %s\n", report.fault_spec.c_str());
   std::printf("queries:         %lld (%lld ok, %lld failed, %lld deadline, "
@@ -912,18 +794,7 @@ int CmdChaos(const Flags& flags) {
               static_cast<long long>(report.checksums_compared),
               static_cast<long long>(report.checksum_mismatches));
 
-  int rc = session.Flush("chaos", nullptr);
-  if (!session.report_out.empty()) {
-    const Status written = report.WriteFile(
-        session.report_out,
-        session.want_metrics() ? &session.metrics : nullptr);
-    if (!written.ok()) {
-      std::fprintf(stderr, "chaos: %s\n", written.ToString().c_str());
-      rc = 1;
-    } else {
-      std::printf("wrote %s\n", session.report_out.c_str());
-    }
-  }
+  int rc = session.Flush("chaos", report);
   if (report.checksum_mismatches > 0) {
     std::fprintf(stderr,
                  "chaos: FAILED — %lld completed queries returned depths "
@@ -943,32 +814,14 @@ int CmdChaos(const Flags& flags) {
 // any mismatch or unanswered future.
 int CmdFleet(const Flags& flags) {
   auto graph = LoadGraphArg(flags);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "fleet: %s\n", graph.status().ToString().c_str());
-    return 1;
-  }
+  if (!graph.ok()) return Fail("fleet", graph.status());
   auto engine_options = OptionsFromFlags(flags);
-  if (!engine_options.ok()) {
-    std::fprintf(stderr, "fleet: %s\n",
-                 engine_options.status().ToString().c_str());
-    return 1;
-  }
+  if (!engine_options.ok()) return Fail("fleet", engine_options.status());
 
   fleet::FleetWorkloadOptions workload;
-  const std::string arrival = flags.GetString("arrival", "poisson");
-  const auto parsed = service::ParseArrivalProcess(arrival);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "fleet: unknown arrival process %s\n",
-                 arrival.c_str());
-    return 1;
-  }
-  workload.workload.arrival = *parsed;
-  workload.workload.qps = flags.GetDouble("qps", 200.0);
-  workload.workload.duration_s = flags.GetDouble("duration", 1.0);
-  workload.workload.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  workload.workload.burst_size =
-      static_cast<int>(flags.GetInt("burst-size", 16));
-  workload.workload.source_pool = flags.GetInt("source-pool", 0);
+  auto arrivals = WorkloadFromFlags(flags);
+  if (!arrivals.ok()) return Fail("fleet", arrivals.status());
+  workload.workload = arrivals.value();
   workload.multi_source =
       static_cast<int>(flags.GetInt("multi-source", 1));
   workload.kill_shard = static_cast<int>(flags.GetInt("shard-down", -1));
@@ -983,15 +836,8 @@ int CmdFleet(const Flags& flags) {
   fleet_options.vnodes = static_cast<int>(flags.GetInt("vnodes", 128));
   fleet_options.ring_seed =
       static_cast<uint64_t>(flags.GetInt("ring-seed", 2016));
-  fleet_options.service.max_batch =
-      static_cast<int>(flags.GetInt("max-batch", 64));
-  fleet_options.service.max_delay_ms = flags.GetDouble("max-delay-ms", 2.0);
-  fleet_options.service.execute_threads =
-      static_cast<int>(flags.GetInt("threads", 0));
-  fleet_options.service.keep_depths = false;  // the checksum is the verdict
-  fleet_options.service.engine = engine_options.value();
-  fleet_options.service.resilience = ResilienceFromFlags(flags);
-  fleet_options.service.cache = CacheFromFlags(flags);
+  fleet_options.service =
+      ServiceOptionsFromFlags(flags, engine_options.value());
   fleet_options.cpu_fallback = !flags.GetBool("no-cpu-fallback");
   fleet_options.replication =
       static_cast<int>(flags.GetInt("replication", 1));
@@ -1001,22 +847,20 @@ int CmdFleet(const Flags& flags) {
 
   auto run = fleet::RunFleetChaos(GraphLabel(flags), graph.value(),
                                   fleet_options, workload);
-  if (!run.ok()) {
-    std::fprintf(stderr, "fleet: %s\n", run.status().ToString().c_str());
-    return 1;
-  }
+  if (!run.ok()) return Fail("fleet", run.status());
   const obs::FleetReport& report = run.value();
-  std::printf("fleet:           %d shards, %d vnodes, ring seed %lld\n",
-              report.shards, report.vnodes,
+  std::printf("fleet:           %lld shards, %lld vnodes, ring seed %lld\n",
+              static_cast<long long>(report.shards),
+              static_cast<long long>(report.vnodes),
               static_cast<long long>(report.ring_seed));
   std::printf("queries:         %lld (%lld ok, %lld failed)\n",
               static_cast<long long>(report.queries),
               static_cast<long long>(report.completed),
               static_cast<long long>(report.failed));
   if (report.multi_source > 1) {
-    std::printf("scatter-gather:  %lld multi-queries of up to %d sources\n",
+    std::printf("scatter-gather:  %lld multi-queries of up to %lld sources\n",
                 static_cast<long long>(report.multi_queries),
-                report.multi_source);
+                static_cast<long long>(report.multi_source));
   }
   std::printf("achieved:        %.1f qps over %.2f s wall\n",
               report.achieved_qps, report.wall_seconds);
@@ -1060,18 +904,7 @@ int CmdFleet(const Flags& flags) {
               static_cast<long long>(report.checksum_mismatches),
               static_cast<long long>(report.unanswered));
 
-  int rc = session.Flush("fleet", nullptr);
-  if (!session.report_out.empty()) {
-    const Status written = report.WriteFile(
-        session.report_out,
-        session.want_metrics() ? &session.metrics : nullptr);
-    if (!written.ok()) {
-      std::fprintf(stderr, "fleet: %s\n", written.ToString().c_str());
-      rc = 1;
-    } else {
-      std::printf("wrote %s\n", session.report_out.c_str());
-    }
-  }
+  int rc = session.Flush("fleet", report);
   if (report.checksum_mismatches > 0) {
     std::fprintf(stderr,
                  "fleet: FAILED — %lld completed queries returned depths "
@@ -1093,51 +926,31 @@ int CmdFleet(const Flags& flags) {
 int CmdCheck(const Flags& flags) {
   int checked = 0;
   int rc = 0;
-  auto check = [&](const char* kind, const std::string& path,
-                   const Status& status) {
+  // Each flag names a file holding the document its validator checks.
+  auto check = [&](const char* flag,
+                   const std::function<Status(const obs::JsonValue&)>&
+                       validate) {
+    const std::string path = flags.GetString(flag);
+    if (path.empty()) return;
     ++checked;
+    const Status status = obs::ValidateFile(path, validate);
     if (status.ok()) {
-      std::printf("%s OK: %s\n", kind, path.c_str());
+      std::printf("%s OK: %s\n", flag, path.c_str());
     } else {
-      std::fprintf(stderr, "check: %s %s: %s\n", kind, path.c_str(),
+      std::fprintf(stderr, "check: %s %s: %s\n", flag, path.c_str(),
                    status.ToString().c_str());
       rc = 1;
     }
   };
-  const std::string trace = flags.GetString("trace");
-  if (!trace.empty()) {
-    check("trace", trace,
-          obs::ValidateTraceFile(trace, flags.GetBool("require-spans")));
-  }
-  const std::string report = flags.GetString("report");
-  if (!report.empty()) {
-    check("report", report, obs::ValidateRunReportFile(report));
-  }
-  const std::string metrics = flags.GetString("metrics");
-  if (!metrics.empty()) {
-    check("metrics", metrics, obs::ValidateMetricsFile(metrics));
-  }
-  const std::string service_report = flags.GetString("service-report");
-  if (!service_report.empty()) {
-    check("service-report", service_report,
-          obs::ValidateServiceReportFile(service_report));
-  }
-  const std::string resilience_report =
-      flags.GetString("resilience-report");
-  if (!resilience_report.empty()) {
-    check("resilience-report", resilience_report,
-          obs::ValidateResilienceReportFile(resilience_report));
-  }
-  const std::string fleet_report = flags.GetString("fleet-report");
-  if (!fleet_report.empty()) {
-    check("fleet-report", fleet_report,
-          obs::ValidateFleetReportFile(fleet_report));
-  }
-  const std::string flight_record = flags.GetString("flight-record");
-  if (!flight_record.empty()) {
-    check("flight-record", flight_record,
-          obs::ValidateFlightRecordFile(flight_record));
-  }
+  check("trace", [&](const obs::JsonValue& doc) {
+    return obs::ValidateTrace(doc, flags.GetBool("require-spans"));
+  });
+  check("report", obs::ValidateRunReport);
+  check("metrics", obs::ValidateMetrics);
+  check("service-report", obs::ValidateServiceReport);
+  check("resilience-report", obs::ValidateResilienceReport);
+  check("fleet-report", obs::ValidateFleetReport);
+  check("flight-record", obs::ValidateFlightRecord);
   if (checked == 0) {
     std::fprintf(stderr,
                  "check: nothing to do; pass --trace, --report, "
