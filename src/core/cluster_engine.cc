@@ -6,11 +6,11 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/group_plan.h"
+#include "core/resilient.h"
 #include "ibfs/status_array.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -28,6 +28,13 @@ constexpr int kClusterPidBase = 100;
 // Partitioned-run device tracks get their own pid range above the cluster's
 // so a trace can hold both execution modes side by side.
 constexpr int kPartitionPidBase = 200;
+
+// One partitioned attempt's level accounting (compute sums the per-level
+// makespans; steps counts supersteps).
+struct LevelTally {
+  double compute = 0.0, comm = 0.0;
+  int64_t bytes = 0, rounds = 0, steps = 0;
+};
 
 }  // namespace
 
@@ -128,9 +135,7 @@ Result<ClusterRunResult> RunOnCluster(const graph::Csr& graph,
         device.elapsed_seconds();
   };
 
-  const int exec_threads = std::min<int>(
-      device_count, opts.threads == 0 ? ThreadPool::HardwareConcurrency()
-                                      : std::max(1, opts.threads));
+  const int exec_threads = ThreadPool::WorkerCount(opts.threads, device_count);
   if (exec_threads <= 1) {
     for (int d = 0; d < device_count; ++d) run_device(d);
   } else {
@@ -229,16 +234,10 @@ Result<PartitionedRunResult> RunPartitioned(
           "partition GPU " + std::to_string(p) + " (simulated time)");
     }
   }
-  obs::MetricsRegistry* metrics =
-      observer.metering() ? observer.metrics : nullptr;
 
-  const bool faulty = options.faults.enabled();
-  const int max_attempts = faulty ? options.retry.max_attempts : 1;
   const int max_level = options.traversal.max_level;
 
-  int threads = options.threads == 0 ? ThreadPool::HardwareConcurrency()
-                                     : std::max(1, options.threads);
-  threads = std::min(threads, P);
+  const int threads = ThreadPool::WorkerCount(options.threads, P);
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
   const auto for_partitions = [&](const std::function<void(int64_t)>& fn) {
@@ -249,53 +248,38 @@ Result<PartitionedRunResult> RunPartitioned(
     }
   };
 
+  // Partition p draws its faults from fleet device p % faults.device_count,
+  // matching the engine's "group g runs on device g % device_count"
+  // convention.
+  std::vector<int> device_ids(static_cast<size_t>(P));
+  for (int p = 0; p < P; ++p) {
+    device_ids[static_cast<size_t>(p)] =
+        p % std::max(1, options.faults.device_count);
+  }
+
   for (size_t g = 0; g < groups.size(); ++g) {
     const std::vector<graph::VertexId>& group = groups[g];
     const size_t n = group.size();
-    const uint64_t salt = static_cast<uint64_t>(g);
 
-    Status group_status = Status::OK();
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      if (attempt > 1) {
-        ++result.retries;
-        const double backoff_ms = options.retry.BackoffMs(salt, attempt);
-        if (metrics != nullptr) {
-          metrics->GetCounter("retry.attempts")->Increment();
-        }
-        if (backoff_ms > 0.0) {
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(backoff_ms));
-        }
-      }
+    // Level accounting of the current attempt; folded into the result only
+    // when the attempt succeeds.
+    LevelTally tally;
 
-      // Fresh devices per attempt, one per partition; partition p draws its
-      // faults from fleet device p % faults.device_count, matching the
-      // engine's "group g runs on device g % device_count" convention.
-      std::vector<gpusim::Device> devices;
-      devices.reserve(static_cast<size_t>(P));
-      std::vector<gpusim::FaultInjector> injectors;
-      injectors.reserve(static_cast<size_t>(P));
+    // One attempt: level-synchronous expansion over the fresh devices. It
+    // returns full depths even when keep_depths is false, so the transfer
+    // checksum always has a payload to guard.
+    const auto level_loop =
+        [&](std::span<gpusim::Device> devices) -> Result<GroupResult> {
+      tally = {};
       std::vector<gpusim::PhaseId> expand_phase(static_cast<size_t>(P));
       std::vector<gpusim::PhaseId> comm_phase(static_cast<size_t>(P));
       for (int p = 0; p < P; ++p) {
-        devices.emplace_back(options.device);
-        gpusim::Device& device = devices.back();
+        gpusim::Device& device = devices[static_cast<size_t>(p)];
         device.SetObserver(observer.WithTrack(kPartitionPidBase + p, 0));
         expand_phase[static_cast<size_t>(p)] =
             device.InternPhase("part_expand");
         comm_phase[static_cast<size_t>(p)] =
             device.InternPhase("part_exchange");
-        if (faulty) {
-          injectors.emplace_back(options.faults,
-                                 p % options.faults.device_count,
-                                 salt * 131ULL + static_cast<uint64_t>(attempt));
-        }
-      }
-      if (faulty) {
-        for (int p = 0; p < P; ++p) {
-          devices[static_cast<size_t>(p)].SetFaultInjector(
-              &injectors[static_cast<size_t>(p)]);
-        }
       }
 
       std::vector<std::vector<uint8_t>> depths(
@@ -315,14 +299,7 @@ Result<PartitionedRunResult> RunPartitioned(
           static_cast<size_t>(P),
           std::vector<std::vector<uint64_t>>(
               n, std::vector<uint64_t>(static_cast<size_t>(words), 0)));
-
-      double attempt_compute = 0.0;
-      double attempt_comm = 0.0;
-      int64_t attempt_bytes = 0;
-      int64_t attempt_rounds = 0;
-      int64_t attempt_steps = 0;
       std::vector<double> level_seconds(static_cast<size_t>(P), 0.0);
-      bool device_faulted = false;
 
       for (int level = 0; level < max_level; ++level) {
         bool any = false;
@@ -398,9 +375,9 @@ Result<PartitionedRunResult> RunPartitioned(
         for_partitions(expand);
 
         // Level-synchronous: the step takes as long as the slowest rank.
-        attempt_compute +=
+        tally.compute +=
             *std::max_element(level_seconds.begin(), level_seconds.end());
-        ++attempt_steps;
+        ++tally.steps;
 
         // Frontier exchange: every rank ends the level holding the merged
         // bitmap, priced once and charged to every device's timeline (they
@@ -413,9 +390,9 @@ Result<PartitionedRunResult> RunPartitioned(
           devices[static_cast<size_t>(p)].ChargeCommSeconds(
               comm_phase[static_cast<size_t>(p)], cost.seconds);
         }
-        attempt_comm += cost.seconds;
-        attempt_bytes += cost.bytes_on_wire;
-        attempt_rounds += cost.rounds;
+        tally.comm += cost.seconds;
+        tally.bytes += cost.bytes_on_wire;
+        tally.rounds += cost.rounds;
 
         // Host-side merge in partition order; loop bound level < max_level
         // keeps the deepest assigned depth at max_level, exactly like the
@@ -447,82 +424,41 @@ Result<PartitionedRunResult> RunPartitioned(
 
         // A fault latches on the device and surfaces at the next sync
         // point — the end of the level — where the attempt is abandoned.
-        device_faulted = false;
-        for (int p = 0; p < P; ++p) {
-          device_faulted =
-              device_faulted || devices[static_cast<size_t>(p)].faulted();
-        }
-        if (device_faulted) break;
-      }
-
-      Status attempt_status = Status::OK();
-      for (int p = 0; p < P && attempt_status.ok(); ++p) {
-        if (devices[static_cast<size_t>(p)].faulted()) {
-          attempt_status = devices[static_cast<size_t>(p)].fault_status();
-        }
-      }
-      if (attempt_status.ok() && faulty && !depths.empty()) {
-        // Transfer integrity, as in the resilient executor: checksum the
-        // payload "on the devices", let any rank's injector corrupt the
-        // copy back, and quarantine the attempt on a mismatch.
-        const uint64_t device_checksum = Fnv1aOfDepths(depths);
-        for (int p = 0; p < P; ++p) {
-          if (injectors[static_cast<size_t>(p)].ShouldCorruptTransfer()) {
-            injectors[static_cast<size_t>(p)].CorruptDepths(&depths);
-          }
-        }
-        if (Fnv1aOfDepths(depths) != device_checksum) {
-          attempt_status = Status::DataLoss(
-              "partitioned depth payload checksum mismatch (injected "
-              "transfer corruption)");
-          ++result.corruptions_detected;
-          if (metrics != nullptr) {
-            metrics->GetCounter("fault.corruptions_detected")->Increment();
-          }
+        if (std::any_of(devices.begin(), devices.end(),
+                        [](const gpusim::Device& d) { return d.faulted(); })) {
+          break;
         }
       }
 
-      if (attempt_status.ok()) {
-        result.compute_seconds += attempt_compute;
-        result.comm_seconds += attempt_comm;
-        result.bytes_on_wire += attempt_bytes;
-        result.comm_rounds += attempt_rounds;
-        result.supersteps += attempt_steps;
-        for (int p = 0; p < P; ++p) {
-          const gpusim::Device& device = devices[static_cast<size_t>(p)];
-          result.device_seconds[static_cast<size_t>(p)] +=
-              device.elapsed_seconds();
-          result.totals.Add(device.totals());
-          for (const auto& [name, stats] : device.phases()) {
-            result.phases[name].Add(stats);
-          }
-        }
-        GroupResult group_result;
-        if (options.keep_depths) group_result.depths = std::move(depths);
-        result.groups.push_back(std::move(group_result));
-        result.group_sources.push_back(group);
-        group_status = Status::OK();
-        break;
-      }
+      GroupResult group_result;
+      group_result.depths = std::move(depths);
+      return group_result;
+    };
 
-      group_status = attempt_status;
-      if (attempt_status.code() == StatusCode::kUnavailable) {
-        ++result.transient_faults;
-      }
-      for (int p = 0; p < P; ++p) {
-        result.wasted_sim_seconds +=
-            devices[static_cast<size_t>(p)].elapsed_seconds();
-      }
-      if (metrics != nullptr) {
-        metrics->GetCounter("fault.failed_attempts")->Increment();
+    ResilientOutcome outcome = RunResilient(
+        options, device_ids, static_cast<uint64_t>(g), observer, level_loop);
+    result.retries += outcome.attempts - 1;
+    result.transient_faults += outcome.transient_faults;
+    result.corruptions_detected += outcome.corruptions_detected;
+    result.wasted_sim_seconds += outcome.wasted_sim_seconds;
+    IBFS_RETURN_NOT_OK(outcome.status);
+
+    result.compute_seconds += tally.compute;
+    result.comm_seconds += tally.comm;
+    result.bytes_on_wire += tally.bytes;
+    result.comm_rounds += tally.rounds;
+    result.supersteps += tally.steps;
+    for (int p = 0; p < P; ++p) {
+      const gpusim::Device& device = outcome.devices[static_cast<size_t>(p)];
+      result.device_seconds[static_cast<size_t>(p)] += device.elapsed_seconds();
+      result.totals.Add(device.totals());
+      for (const auto& [name, stats] : device.phases()) {
+        result.phases[name].Add(stats);
       }
     }
-    if (!group_status.ok()) {
-      if (metrics != nullptr) {
-        metrics->GetCounter("retry.exhausted")->Increment();
-      }
-      return group_status;
-    }
+    if (!options.keep_depths) outcome.result.depths.clear();
+    result.groups.push_back(std::move(outcome.result));
+    result.group_sources.push_back(group);
   }
 
   result.sim_seconds = result.compute_seconds + result.comm_seconds;
@@ -535,7 +471,8 @@ Result<PartitionedRunResult> RunPartitioned(
                                     wall_start)
           .count();
 
-  if (metrics != nullptr) {
+  if (observer.metering()) {
+    obs::MetricsRegistry* metrics = observer.metrics;
     metrics->GetGauge("comm.partitions")->Set(static_cast<double>(P));
     metrics->GetGauge("comm.seconds")->Set(result.comm_seconds);
     metrics->GetGauge("comm.edge_imbalance")->Set(result.edge_imbalance);

@@ -123,9 +123,11 @@ struct PartitionedRunResult {
 /// and charged to every device's timeline), and the host merges them in
 /// partition order. Merging is order-deterministic, so depths are
 /// bit-identical to the unpartitioned engine regardless of P, schedule, or
-/// host threads. Fault injection follows the engine's convention (partition
-/// p draws from fleet device p % faults.device_count) with the same
-/// retry/backoff and transfer-checksum flow as the resilient executor.
+/// host threads. Every partition runs the one top-down "part_expand"
+/// kernel whatever options.strategy is, so simulated seconds do not compare
+/// with the engine's strategies. Each group retries through RunResilient,
+/// the loop Engine::Run and BfsService use, with one attempt spanning the P
+/// devices; partition p draws from fleet device p % faults.device_count.
 Result<PartitionedRunResult> RunPartitioned(
     const graph::Csr& graph, std::span<const graph::VertexId> sources,
     const EngineOptions& options, const PartitionRunOptions& run);

@@ -113,42 +113,19 @@ Result<EngineResult> Engine::Run(
   // executor (retry + backoff + transfer checksum); with the default
   // disabled fault plan that is exactly one ExecuteGroup per group.
   const size_t group_count = grouping.groups.size();
-  struct GroupRun {
-    Status status = Status::OK();
-    GroupResult result;
-    double seconds = 0.0;
-    gpusim::KernelStats totals;
-    gpusim::PhaseMap phases;
-    int retries = 0;
-    int transient_faults = 0;
-    int corruptions_detected = 0;
-    double wasted_sim_seconds = 0.0;
-  };
-  std::vector<GroupRun> runs(group_count);
+  std::vector<ResilientOutcome> runs(group_count);
   auto run_group = [&](int64_t g) {
     const obs::Observer group_observer =
         observer.WithTrack(observer.track.pid, 1 + static_cast<int>(g));
-    GroupRun& run = runs[static_cast<size_t>(g)];
     const int device_id =
         static_cast<int>(g % std::max(1, options_.faults.device_count));
-    ResilientOutcome outcome = ExecuteGroupResilient(
+    runs[static_cast<size_t>(g)] = ExecuteGroupResilient(
         *this, grouping.groups[static_cast<size_t>(g)], device_id,
         static_cast<uint64_t>(g), group_observer);
-    run.retries = outcome.attempts - 1;
-    run.transient_faults = outcome.transient_faults;
-    run.corruptions_detected = outcome.corruptions_detected;
-    run.wasted_sim_seconds = outcome.wasted_sim_seconds;
-    if (!outcome.status.ok()) {
-      run.status = std::move(outcome.status);
-      return;
-    }
-    run.result = std::move(outcome.result);
-    run.seconds = outcome.sim_seconds;
-    run.totals = outcome.totals;
-    run.phases = std::move(outcome.phases);
   };
 
-  const int threads = ResolveThreads(group_count);
+  const int threads = ThreadPool::WorkerCount(
+      options_.threads, static_cast<int64_t>(group_count));
   const double exec_start_us = wall_us();
   if (threads <= 1) {
     for (size_t g = 0; g < group_count; ++g) run_group(static_cast<int64_t>(g));
@@ -168,12 +145,14 @@ Result<EngineResult> Engine::Run(
   // failing group's status wins, sim_seconds is the in-order sum of the
   // per-group seconds, and counter/phase totals fold group by group.
   for (size_t g = 0; g < group_count; ++g) {
-    GroupRun& run = runs[g];
-    result.retries += run.retries;
+    ResilientOutcome& run = runs[g];
+    result.retries += run.attempts - 1;
     result.transient_faults += run.transient_faults;
     result.corruptions_detected += run.corruptions_detected;
     result.wasted_sim_seconds += run.wasted_sim_seconds;
     IBFS_RETURN_NOT_OK(run.status);
+    const gpusim::Device& device = run.devices.front();
+    const double seconds = device.elapsed_seconds();
     if (observer.tracing()) {
       observer.tracer->SetThreadName(observer.track.pid,
                                      1 + static_cast<int>(g),
@@ -191,15 +170,15 @@ Result<EngineResult> Engine::Run(
       }
       observer.tracer->CompleteSpan(
           {observer.track.pid, 1 + static_cast<int>(g)},
-          "group " + std::to_string(g), "group", 0.0, run.seconds * 1e6,
+          "group " + std::to_string(g), "group", 0.0, seconds * 1e6,
           std::move(span_args));
     }
-    result.sim_seconds += run.seconds;
-    result.totals.Add(run.totals);
-    for (const auto& [phase, stats] : run.phases) {
+    result.sim_seconds += seconds;
+    result.totals.Add(device.totals());
+    for (const auto& [phase, stats] : device.phases()) {
       result.phases[phase].Add(stats);
     }
-    result.group_seconds.push_back(run.seconds);
+    result.group_seconds.push_back(seconds);
     result.groups.push_back(std::move(run.result));
     result.group_sources.push_back(std::move(grouping.groups[g]));
   }
@@ -227,14 +206,6 @@ Result<GroupResult> Engine::ExecuteGroup(
   traversal.record_depths = options_.keep_depths;
   traversal.observer = observer;
   return RunGroup(options_.strategy, *graph_, group, traversal, device);
-}
-
-int Engine::ResolveThreads(size_t group_count) const {
-  const int requested = options_.threads == 0
-                            ? ThreadPool::HardwareConcurrency()
-                            : options_.threads;
-  const int64_t cap = static_cast<int64_t>(std::max<size_t>(group_count, 1));
-  return static_cast<int>(std::min<int64_t>(requested, cap));
 }
 
 Result<EngineResult> Engine::RunAllSources() const {

@@ -93,11 +93,6 @@ class Engine {
 
   const EngineOptions& options() const { return options_; }
 
-  /// Worker count actually used for `group_count` groups: resolves
-  /// `options.threads` (0 = hardware concurrency) and caps it at the number
-  /// of groups — extra workers would only idle.
-  int ResolveThreads(size_t group_count) const;
-
   /// The paper's group-size bound (Section 3):
   /// N <= (M - S - |JFQ|) / |SA|, with M the device memory, S the graph
   /// storage, |JFQ| the joint queue and |SA| one instance's status column.

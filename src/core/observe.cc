@@ -24,12 +24,13 @@ obs::ReportPhase ToReportPhase(const gpusim::ProfileRow& row) {
   return phase;
 }
 
-}  // namespace
-
-obs::RunReport BuildRunReport(const std::string& graph_name,
-                              const graph::Csr& graph,
-                              const EngineOptions& options, int64_t instances,
-                              const EngineResult& result) {
+// The fields both run reports share: workload, headline results, the
+// profile table, and one group row (index and sources) per executed group.
+template <typename RunResult>
+obs::RunReport ReportBody(const std::string& graph_name,
+                          const graph::Csr& graph,
+                          const EngineOptions& options, int64_t instances,
+                          const RunResult& result) {
   obs::RunReport report;
   report.graph = graph_name;
   report.vertex_count = graph.vertex_count();
@@ -42,40 +43,14 @@ obs::RunReport BuildRunReport(const std::string& graph_name,
   report.sim_seconds = result.sim_seconds;
   report.wall_seconds = result.wall_seconds;
   report.teps = result.teps;
-  report.sharing_ratio = result.SharingRatio();
-  report.sharing_ratio_top_down = result.SharingRatio(0);
-  report.sharing_ratio_bottom_up = result.SharingRatio(1);
-  report.rule_matched = result.rule_matched;
 
-  report.groups.reserve(result.groups.size());
-  for (size_t g = 0; g < result.groups.size(); ++g) {
-    const GroupResult& gr = result.groups[g];
-    obs::ReportGroup out;
+  report.groups.resize(result.group_sources.size());
+  for (size_t g = 0; g < report.groups.size(); ++g) {
+    const std::vector<graph::VertexId>& sources = result.group_sources[g];
+    obs::ReportGroup& out = report.groups[g];
     out.index = static_cast<int>(g);
-    out.instance_count = gr.trace.instance_count;
-    out.sim_seconds =
-        g < result.group_seconds.size() ? result.group_seconds[g] : 0.0;
-    out.sharing_degree = gr.trace.SharingDegree();
-    out.sharing_ratio = gr.trace.SharingRatio();
-    out.hub = g < result.group_hubs.size() ? result.group_hubs[g] : -1;
-    if (g < result.group_sources.size()) {
-      out.sources.reserve(result.group_sources[g].size());
-      for (graph::VertexId s : result.group_sources[g]) {
-        out.sources.push_back(static_cast<int64_t>(s));
-      }
-    }
-    out.levels.reserve(gr.trace.levels.size());
-    for (const LevelTrace& lt : gr.trace.levels) {
-      obs::ReportLevel level;
-      level.level = lt.level;
-      level.bottom_up = lt.bottom_up;
-      level.jfq_size = lt.jfq_size;
-      level.private_fq_sum = lt.private_fq_sum;
-      level.edges_inspected = lt.edges_inspected;
-      level.new_visits = lt.new_visits;
-      out.levels.push_back(std::move(level));
-    }
-    report.groups.push_back(std::move(out));
+    out.instance_count = static_cast<int>(sources.size());
+    out.sources.assign(sources.begin(), sources.end());
   }
 
   std::vector<gpusim::ProfileRow> rows =
@@ -90,46 +65,49 @@ obs::RunReport BuildRunReport(const std::string& graph_name,
   return report;
 }
 
+}  // namespace
+
+obs::RunReport BuildRunReport(const std::string& graph_name,
+                              const graph::Csr& graph,
+                              const EngineOptions& options, int64_t instances,
+                              const EngineResult& result) {
+  obs::RunReport report =
+      ReportBody(graph_name, graph, options, instances, result);
+  report.sharing_ratio = result.SharingRatio();
+  report.sharing_ratio_top_down = result.SharingRatio(0);
+  report.sharing_ratio_bottom_up = result.SharingRatio(1);
+  report.rule_matched = result.rule_matched;
+
+  // Engine::Run fills groups, group_sources and group_seconds in parallel.
+  for (size_t g = 0; g < report.groups.size(); ++g) {
+    const GroupResult& gr = result.groups[g];
+    obs::ReportGroup& out = report.groups[g];
+    out.instance_count = gr.trace.instance_count;
+    out.sim_seconds = result.group_seconds[g];
+    out.sharing_degree = gr.trace.SharingDegree();
+    out.sharing_ratio = gr.trace.SharingRatio();
+    out.hub = g < result.group_hubs.size() ? result.group_hubs[g] : -1;
+    out.levels.reserve(gr.trace.levels.size());
+    for (const LevelTrace& lt : gr.trace.levels) {
+      obs::ReportLevel level;
+      level.level = lt.level;
+      level.bottom_up = lt.bottom_up;
+      level.jfq_size = lt.jfq_size;
+      level.private_fq_sum = lt.private_fq_sum;
+      level.edges_inspected = lt.edges_inspected;
+      level.new_visits = lt.new_visits;
+      out.levels.push_back(std::move(level));
+    }
+  }
+  return report;
+}
+
 obs::RunReport BuildPartitionedRunReport(const std::string& graph_name,
                                          const graph::Csr& graph,
                                          const EngineOptions& options,
                                          int64_t instances,
                                          const PartitionedRunResult& result) {
-  obs::RunReport report;
-  report.graph = graph_name;
-  report.vertex_count = graph.vertex_count();
-  report.edge_count = graph.edge_count();
-  report.strategy = StrategyName(options.strategy);
-  report.grouping = GroupingPolicyName(options.grouping);
-  report.instances = instances;
-  report.group_size = options.group_size;
-
-  report.sim_seconds = result.sim_seconds;
-  report.wall_seconds = result.wall_seconds;
-  report.teps = result.teps;
-
-  report.groups.reserve(result.group_sources.size());
-  for (size_t g = 0; g < result.group_sources.size(); ++g) {
-    obs::ReportGroup out;
-    out.index = static_cast<int>(g);
-    out.instance_count = static_cast<int>(result.group_sources[g].size());
-    out.sources.reserve(result.group_sources[g].size());
-    for (graph::VertexId s : result.group_sources[g]) {
-      out.sources.push_back(static_cast<int64_t>(s));
-    }
-    report.groups.push_back(std::move(out));
-  }
-
-  std::vector<gpusim::ProfileRow> rows =
-      gpusim::ProfileRows(result.phases, result.totals, result.sim_seconds);
-  for (gpusim::ProfileRow& row : rows) {
-    if (row.phase == gpusim::kTotalRowName) {
-      report.totals = ToReportPhase(row);
-    } else {
-      report.phases.push_back(ToReportPhase(row));
-    }
-  }
-  return report;
+  return ReportBody(graph_name, graph, options, instances, result);
 }
 
 void AttachPartitionSection(const PartitionedRunResult& result,

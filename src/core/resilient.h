@@ -2,38 +2,36 @@
 #define IBFS_CORE_RESILIENT_H_
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <mutex>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/engine.h"
-#include "gpusim/fault.h"
 #include "util/status.h"
 
 namespace ibfs {
 
-/// Resilient group execution over the fault-injectable device simulator:
-/// one call = up to retry.max_attempts executions of one group, each on a
-/// fresh simulated device carrying a deterministic FaultInjector, with
+/// Resilient execution over the fault-injectable device simulator: one
+/// call = up to retry.max_attempts attempts of one unit of work, each on
+/// fresh simulated devices carrying deterministic FaultInjectors, with
 /// exponential-backoff-plus-jitter sleeps between attempts and a transfer
 /// checksum that quarantines corrupted payloads (a poisoned attempt counts
-/// as failed and is re-executed). Consumers: Engine::Run's per-group
-/// workers (batch path) and BfsService's executor tasks (online path,
-/// which adds circuit breaking and a CPU fallback on top). See
+/// as failed and is re-executed). One loop serves every caller:
+/// Engine::Run's per-group workers (batch path), BfsService's executor
+/// tasks (online path, which adds circuit breaking and a CPU fallback on
+/// top) and RunPartitioned (one attempt spans P devices). See
 /// docs/RESILIENCE.md.
 
-/// What one resilient group execution did. On final failure `status`
-/// carries the last attempt's error and `result` is empty.
+/// What one resilient execution did. On final failure `status` carries
+/// the last attempt's error, `result` is empty and `devices` is empty.
 struct ResilientOutcome {
   Status status;
   GroupResult result;
-  /// Simulated seconds / counters of the *successful* attempt only, so
-  /// fault-free timing is unchanged by the retry machinery.
-  double sim_seconds = 0.0;
-  gpusim::KernelStats totals;
-  gpusim::PhaseMap phases;
+  /// The successful attempt's devices, one per fleet id in call order:
+  /// their clocks, counters and phases are the successful attempt's only,
+  /// so fault-free timing is unchanged by the retry machinery.
+  std::vector<gpusim::Device> devices;
   /// Simulated seconds burned by failed attempts (retry waste).
   double wasted_sim_seconds = 0.0;
   int attempts = 0;
@@ -43,14 +41,36 @@ struct ResilientOutcome {
   int corruptions_detected = 0;
   /// Host milliseconds slept in backoff.
   double backoff_ms = 0.0;
+
+  /// The first device's simulated seconds (the group time of one-device
+  /// callers); 0 on failure.
+  double sim_seconds() const {
+    return devices.empty() ? 0.0 : devices.front().elapsed_seconds();
+  }
 };
 
+/// One attempt: runs the work on `devices` (fresh, one per fleet id) and
+/// returns its result. The loop fails the attempt on the returned error or
+/// on the first latched device fault, in device order.
+using ResilientAttempt =
+    std::function<Result<GroupResult>(std::span<gpusim::Device> devices)>;
+
+/// Runs `attempt` under options.retry against options.faults, on one fresh
+/// device per entry of `device_ids` (the fleet ordinals whose fault
+/// profiles apply). `salt` decorrelates the fault/jitter streams across
+/// units of work (callers pass a stable value such as the group index or
+/// batch*1000+group). A successful attempt's depths pass the transfer
+/// checksum, each device's injector drawing once in device order; an
+/// attempt without depths skips it. Fault-free fast path: when the plan is
+/// disabled this is exactly one attempt, without injectors.
+ResilientOutcome RunResilient(const EngineOptions& options,
+                              std::span<const int> device_ids, uint64_t salt,
+                              const obs::Observer& observer,
+                              const ResilientAttempt& attempt);
+
 /// Executes `group` with the engine's strategy on fleet device
-/// `device_id`, retrying per engine.options().retry against
-/// engine.options().faults. `salt` decorrelates the fault/jitter streams
-/// across groups (callers pass a stable per-group value such as the group
-/// index or batch*1000+group). Fault-free fast path: when the plan is
-/// disabled this is exactly one Engine::ExecuteGroup on a fresh device.
+/// `device_id`: RunResilient over one device running
+/// Engine::ExecuteGroup.
 ResilientOutcome ExecuteGroupResilient(const Engine& engine,
                                        std::span<const graph::VertexId> group,
                                        int device_id, uint64_t salt,

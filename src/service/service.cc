@@ -742,7 +742,7 @@ void BfsService::DispatchBatch(std::vector<PendingQuery> batch,
             track, "execute group " + std::to_string(g), "service",
             start_us, SinceStartUs(exec_end) - start_us,
             {obs::Arg("instances", static_cast<int64_t>(group.size())),
-             obs::Arg("sim_ms", outcome.sim_seconds * 1e3),
+             obs::Arg("sim_ms", outcome.sim_seconds() * 1e3),
              obs::Arg("device", static_cast<int64_t>(device_id)),
              obs::Arg("attempts", static_cast<int64_t>(outcome.attempts)),
              obs::Arg("degraded", degraded), obs::Arg("ctx", ctx)});
@@ -860,7 +860,7 @@ void BfsService::DispatchBatch(std::vector<PendingQuery> batch,
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.groups;
         stats_.executed_instances += static_cast<int64_t>(group.size());
-        stats_.sim_seconds += outcome.sim_seconds;
+        stats_.sim_seconds += outcome.sim_seconds();
         stats_.completed += completed;
         stats_.failed += failed;
         stats_.deadline_exceeded += expired;

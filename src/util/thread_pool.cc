@@ -151,4 +151,11 @@ int ThreadPool::HardwareConcurrency() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+int ThreadPool::WorkerCount(int requested, int64_t work_items) {
+  const int workers =
+      requested == 0 ? HardwareConcurrency() : std::max(1, requested);
+  return static_cast<int>(
+      std::min<int64_t>(workers, std::max<int64_t>(1, work_items)));
+}
+
 }  // namespace ibfs

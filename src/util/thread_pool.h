@@ -56,6 +56,11 @@ class ThreadPool {
   /// std::thread::hardware_concurrency with a >= 1 guarantee.
   static int HardwareConcurrency();
 
+  /// Workers worth starting for `work_items` independent items: `requested`
+  /// (0 = hardware concurrency, else at least 1), capped by the item count
+  /// since extra workers would only idle.
+  static int WorkerCount(int requested, int64_t work_items);
+
  private:
   struct Worker {
     std::mutex mu;

@@ -1,6 +1,8 @@
 #include "graph/partition.h"
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/cluster_engine.h"
@@ -8,6 +10,8 @@
 #include "gpusim/memory_model.h"
 #include "graph/builder.h"
 #include "graph/components.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "gtest/gtest.h"
 #include "ibfs/runner.h"
 #include "test_util.h"
@@ -310,6 +314,49 @@ TEST(RunPartitionedTest, ParityHoldsUnderFaultInjection) {
     EXPECT_GT(result.value().retries + result.value().corruptions_detected, 0)
         << "P=" << partitions;
   }
+}
+
+// Failed partitioned attempts go through the same accounting as the
+// engine's: every retry samples the backoff histogram and every failed
+// attempt leaves an attempt_failed trace instant.
+TEST(RunPartitionedTest, FailedAttemptsAreMeteredAndTraced) {
+  const graph::Csr g = testing::MakeRmatGraph(7, 8);
+  const auto sources = graph::SampleConnectedSources(g, 64, 1);
+  EngineOptions options = ParityOptions(Strategy::kBitwise);
+  auto plan = gpusim::FaultPlan::Parse(
+      "seed=11,devices=4,p_fail=0.02,corrupt=0.1,straggle=1:3");
+  ASSERT_TRUE(plan.ok());
+  options.faults = plan.value();
+  options.retry.max_attempts = 8;
+  options.retry.initial_backoff_ms = 0.0;
+  options.retry.max_backoff_ms = 0.0;
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer;
+  options.observer.metrics = &metrics;
+  options.observer.tracer = &tracer;
+  PartitionRunOptions prun;
+  prun.partitions = 4;
+  auto result = RunPartitioned(g, sources, options, prun);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  const int64_t attempts = metrics.GetCounter("retry.attempts")->value();
+  const int64_t failed = metrics.GetCounter("fault.failed_attempts")->value();
+  EXPECT_GT(attempts, 0);
+  EXPECT_EQ(attempts, result.value().retries);
+  const obs::Histogram* backoff = metrics.FindHistogram("retry.backoff_ms");
+  ASSERT_NE(backoff, nullptr);
+  EXPECT_EQ(backoff->count(), attempts);
+
+  std::ostringstream json;
+  tracer.WriteJson(json);
+  const std::string trace = json.str();
+  int64_t instants = 0;
+  for (size_t at = trace.find("\"attempt_failed\""); at != std::string::npos;
+       at = trace.find("\"attempt_failed\"", at + 1)) {
+    ++instants;
+  }
+  EXPECT_GT(failed, 0);
+  EXPECT_EQ(instants, failed);
 }
 
 TEST(RunPartitionedTest, StragglerStretchesComputeOnly) {

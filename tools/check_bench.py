@@ -85,30 +85,57 @@ def fail(msg):
 
 
 def load_committed(path):
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
+    """Parses a committed bench JSON; prints and returns None when unreadable."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except OSError as e:
+        print(f"check_bench: cannot read {path}: {e}")
+        return None
 
 
-def run_bench(binary, env, timeout=600):
-    """Runs one bench binary into a temp file and returns the parsed JSON."""
+def run_bench(binary, env, label, out_var="IBFS_BENCH_OUT", timeout=600):
+    """Runs one bench binary into a temp file and returns the parsed JSON;
+    prints and returns None when the run fails."""
     with tempfile.TemporaryDirectory() as tmp:
         out_path = os.path.join(tmp, "bench.json")
-        env["IBFS_BENCH_OUT"] = out_path
-        subprocess.run(
-            [binary], env=env, check=True, stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT, timeout=timeout,
+        env[out_var] = out_path
+        try:
+            subprocess.run(
+                [binary], env=env, check=True, stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT, timeout=timeout,
+            )
+            with open(out_path, encoding="utf-8") as f:
+                return json.load(f)
+        except (subprocess.SubprocessError, OSError) as e:
+            print(f"check_bench: {label} run failed: {e}")
+            return None
+
+
+def banded(name, got, want, tolerance, unit, digits):
+    """Prints one banded wall-clock comparison; returns 1 when over the band."""
+    if not want or not got:
+        return 0
+    ratio = got / want
+    status = "ok" if ratio <= tolerance else "REGRESSION"
+    print(
+        f"check_bench: {name}: {got:.{digits}f}{unit} vs committed "
+        f"{want:.{digits}f}{unit} ({ratio:.2f}x, band {tolerance:.1f}x) "
+        f"{status}"
+    )
+    if ratio > tolerance:
+        return fail(
+            f"{name} {ratio:.2f}x over committed, band {tolerance:.1f}x"
         )
-        with open(out_path, encoding="utf-8") as f:
-            return json.load(f)
+    return 0
 
 
 def check_fleet(args):
     """Gates fleet_bench against the committed BENCH_fleet.json."""
-    committed_path = args.committed or os.path.join(args.root, "BENCH_fleet.json")
-    try:
-        committed = load_committed(committed_path)
-    except OSError as e:
-        print(f"check_bench: cannot read {committed_path}: {e}")
+    committed = load_committed(
+        args.committed or os.path.join(args.root, "BENCH_fleet.json")
+    )
+    if committed is None:
         return 2
 
     env = dict(os.environ)
@@ -119,10 +146,8 @@ def check_fleet(args):
     env["IBFS_FLEET_DURATION"] = str(committed.get("duration_seconds", 1.0))
     env["IBFS_FLEET_VNODES"] = str(committed.get("vnodes", 128))
     env["IBFS_FLEET_SECTIONS"] = "elastic" if args.elastic_only else "all"
-    try:
-        fresh = run_bench(args.fleet_binary, env)
-    except (subprocess.SubprocessError, OSError) as e:
-        print(f"check_bench: fleet bench run failed: {e}")
+    fresh = run_bench(args.fleet_binary, env, "fleet bench")
+    if fresh is None:
         return 2
 
     rc = 0
@@ -187,7 +212,7 @@ def check_fleet(args):
                       f"{row.get('replica_mismatches')} replica mismatches")
 
     # Banded: per-point / per-row latency vs the committed run.
-    banded = []
+    rows = []
     if not args.elastic_only:
         committed_points = {
             p.get("shards"): p for p in committed.get("points", [])
@@ -196,34 +221,20 @@ def check_fleet(args):
             shards = point.get("shards")
             base = committed_points.get(shards)
             if base is not None:
-                banded.append((f"fleet[{shards}]", base, point))
+                rows.append((f"fleet[{shards}]", base, point))
         if committed.get("elastic"):
-            banded.append(("fleet.elastic", committed["elastic"], elastic))
+            rows.append(("fleet.elastic", committed["elastic"], elastic))
     committed_rows = {
         r.get("replication"): r for r in committed.get("replication", [])
     }
     for row in replication:
         base = committed_rows.get(row.get("replication"))
         if base is not None:
-            banded.append((f"fleet[R={row.get('replication')}]", base, row))
-    for label, base, point in banded:
+            rows.append((f"fleet[R={row.get('replication')}]", base, row))
+    for label, base, point in rows:
         for key in ("p50_ms", "p99_ms"):
-            want = base.get(key)
-            got = point.get(key)
-            if not want or not got:
-                continue
-            ratio = got / want
-            status = "ok" if ratio <= args.tolerance else "REGRESSION"
-            print(
-                f"check_bench: {label}.{key}: {got:.3f}ms vs "
-                f"committed {want:.3f}ms ({ratio:.2f}x, band "
-                f"{args.tolerance:.1f}x) {status}"
-            )
-            if ratio > args.tolerance:
-                rc = fail(
-                    f"{label}.{key} {ratio:.2f}x over committed, "
-                    f"band {args.tolerance:.1f}x"
-                )
+            rc = banded(f"{label}.{key}", point.get(key), base.get(key),
+                        args.tolerance, "ms", 3) or rc
     if rc == 0:
         print("check_bench: fleet PASS")
     return rc
@@ -231,13 +242,10 @@ def check_fleet(args):
 
 def check_partition(args):
     """Gates partition_bench against the committed BENCH_partition.json."""
-    committed_path = args.committed or os.path.join(
-        args.root, "BENCH_partition.json"
+    committed = load_committed(
+        args.committed or os.path.join(args.root, "BENCH_partition.json")
     )
-    try:
-        committed = load_committed(committed_path)
-    except OSError as e:
-        print(f"check_bench: cannot read {committed_path}: {e}")
+    if committed is None:
         return 2
 
     config = committed.get("config", {})
@@ -248,10 +256,8 @@ def check_partition(args):
     env["IBFS_GRAPH"] = str(committed.get("graph", "PK"))
     env["IBFS_PARTITION_INSTANCES"] = str(config.get("instances", 64))
     env["IBFS_PARTITION_GROUP"] = str(config.get("group_size", 32))
-    try:
-        fresh = run_bench(args.partition_binary, env)
-    except (subprocess.SubprocessError, OSError) as e:
-        print(f"check_bench: partition bench run failed: {e}")
+    fresh = run_bench(args.partition_binary, env, "partition bench")
+    if fresh is None:
         return 2
 
     rc = 0
@@ -328,27 +334,60 @@ def check_partition(args):
     # Banded: wall clock per point vs the committed run.
     for point in fresh_points:
         base = committed_points.get(point_key(point))
-        if base is None:
-            continue
-        want = base.get("wall_seconds")
-        got = point.get("wall_seconds")
-        if not want or not got:
-            continue
-        ratio = got / want
-        p, schedule = point_key(point)
-        status = "ok" if ratio <= args.tolerance else "REGRESSION"
-        print(
-            f"check_bench: partition[P={p},{schedule}].wall_seconds: "
-            f"{got:.4f}s vs committed {want:.4f}s ({ratio:.2f}x, band "
-            f"{args.tolerance:.1f}x) {status}"
-        )
-        if ratio > args.tolerance:
-            rc = fail(
-                f"partition[P={p},{schedule}].wall_seconds {ratio:.2f}x "
-                f"over committed, band {args.tolerance:.1f}x"
-            )
+        if base is not None:
+            p, schedule = point_key(point)
+            rc = banded(f"partition[P={p},{schedule}].wall_seconds",
+                        point.get("wall_seconds"), base.get("wall_seconds"),
+                        args.tolerance, "s", 4) or rc
     if rc == 0:
         print("check_bench: partition PASS")
+    return rc
+
+
+def check_gpusim(args):
+    """Gates gpusim_bench against the committed BENCH_gpusim.json."""
+    committed = load_committed(
+        args.committed or os.path.join(args.root, "BENCH_gpusim.json")
+    )
+    if committed is None:
+        return 2
+
+    config = committed.get("config", {})
+    env = dict(os.environ)
+    # Reproduce the committed workload exactly; counters and sim seconds
+    # are only comparable at an identical configuration.
+    env["IBFS_GPUSIM_BENCH_SCALE"] = str(config.get("rmat_scale", 14))
+    env["IBFS_GPUSIM_BENCH_EDGES"] = str(config.get("edge_factor", 16))
+    env["IBFS_GPUSIM_BENCH_INSTANCES"] = str(config.get("instances", 256))
+    env["IBFS_GPUSIM_BENCH_GROUP"] = str(config.get("group_size", 64))
+    env["IBFS_GPUSIM_BENCH_REPEATS"] = "2"  # wall best-of only; counters exact
+    env["IBFS_GPUSIM_BENCH_SERVE"] = "1" if args.serve else "0"
+    env.pop("IBFS_GPUSIM_BENCH_BASELINE", None)
+
+    fresh = run_bench(args.binary, env, "bench", "IBFS_GPUSIM_BENCH_OUT")
+    if fresh is None:
+        return 2
+
+    rc = 0
+    for section, keys in EXACT_KEYS.items():
+        for key in keys:
+            want = committed.get(section, {}).get(key)
+            got = fresh.get(section, {}).get(key)
+            if want != got:
+                rc = fail(
+                    f"{section}.{key}: fresh {got!r} != committed {want!r} "
+                    "(deterministic model output drifted)"
+                )
+    if args.serve:
+        want = committed.get("serve", {}).get("checksum")
+        got = fresh.get("serve", {}).get("checksum")
+        if want != got:
+            rc = fail(f"serve.checksum: fresh {got!r} != committed {want!r}")
+
+    for section, key in WALL_KEYS.items():
+        rc = banded(f"{section}.{key}", fresh.get(section, {}).get(key),
+                    committed.get(section, {}).get(key), args.tolerance,
+                    "s", 4) or rc
     return rc
 
 
@@ -396,89 +435,18 @@ def main():
             "--partition-binary"
         )
         return 2
-    partition_rc = 0
-    if args.partition_binary is not None:
-        partition_rc = check_partition(args)
-        if partition_rc == 2 or (
-            args.binary is None and args.fleet_binary is None
-        ):
-            return partition_rc
-    if args.binary is None:
-        return check_fleet(args) or partition_rc
-    fleet_rc = 0
-    if args.fleet_binary is not None:
-        fleet_rc = check_fleet(args)
-        if fleet_rc == 2:
-            return 2
-
-    committed_path = args.committed or os.path.join(args.root, "BENCH_gpusim.json")
-    try:
-        committed = load_committed(committed_path)
-    except OSError as e:
-        print(f"check_bench: cannot read {committed_path}: {e}")
-        return 2
-
-    config = committed.get("config", {})
-    env = dict(os.environ)
-    # Reproduce the committed workload exactly; counters and sim seconds
-    # are only comparable at an identical configuration.
-    env["IBFS_GPUSIM_BENCH_SCALE"] = str(config.get("rmat_scale", 14))
-    env["IBFS_GPUSIM_BENCH_EDGES"] = str(config.get("edge_factor", 16))
-    env["IBFS_GPUSIM_BENCH_INSTANCES"] = str(config.get("instances", 256))
-    env["IBFS_GPUSIM_BENCH_GROUP"] = str(config.get("group_size", 64))
-    env["IBFS_GPUSIM_BENCH_REPEATS"] = "2"  # wall best-of only; counters exact
-    env["IBFS_GPUSIM_BENCH_SERVE"] = "1" if args.serve else "0"
-    env.pop("IBFS_GPUSIM_BENCH_BASELINE", None)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        out_path = os.path.join(tmp, "bench.json")
-        env["IBFS_GPUSIM_BENCH_OUT"] = out_path
-        try:
-            subprocess.run(
-                [args.binary], env=env, check=True, stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT, timeout=600,
-            )
-        except (subprocess.SubprocessError, OSError) as e:
-            print(f"check_bench: bench run failed: {e}")
-            return 2
-        with open(out_path, encoding="utf-8") as f:
-            fresh = json.load(f)
-
     rc = 0
-    for section, keys in EXACT_KEYS.items():
-        for key in keys:
-            want = committed.get(section, {}).get(key)
-            got = fresh.get(section, {}).get(key)
-            if want != got:
-                rc = fail(
-                    f"{section}.{key}: fresh {got!r} != committed {want!r} "
-                    "(deterministic model output drifted)"
-                )
-    if args.serve:
-        want = committed.get("serve", {}).get("checksum")
-        got = fresh.get("serve", {}).get("checksum")
-        if want != got:
-            rc = fail(f"serve.checksum: fresh {got!r} != committed {want!r}")
-
-    for section, key in WALL_KEYS.items():
-        want = committed.get(section, {}).get(key)
-        got = fresh.get(section, {}).get(key)
-        if not want or not got:
-            continue
-        ratio = got / want
-        status = "ok" if ratio <= args.tolerance else "REGRESSION"
-        print(
-            f"check_bench: {section}.{key}: {got:.4f}s vs committed "
-            f"{want:.4f}s ({ratio:.2f}x, band {args.tolerance:.1f}x) {status}"
-        )
-        if ratio > args.tolerance:
-            rc = fail(
-                f"{section}.{key} {ratio:.2f}x over committed, "
-                f"band {args.tolerance:.1f}x"
-            )
-
-    rc = rc or fleet_rc or partition_rc
-    if rc == 0:
+    for binary, check in (
+        (args.partition_binary, check_partition),
+        (args.fleet_binary, check_fleet),
+        (args.binary, check_gpusim),
+    ):
+        if binary is not None:
+            check_rc = check(args)
+            if check_rc == 2:
+                return 2
+            rc = rc or check_rc
+    if args.binary is not None and rc == 0:
         print("check_bench: PASS")
     return rc
 
