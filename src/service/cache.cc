@@ -6,6 +6,17 @@
 #include "util/logging.h"
 
 namespace ibfs::service {
+namespace {
+
+// The residency seal: every stored field of an entry, folded word-wise.
+uint64_t Seal(const CachedDepths& value) {
+  uint64_t seal = Fnv1aWords(value.depths);
+  seal = Fnv1aFoldWord(seal, value.depths.size());
+  seal = Fnv1aFoldWord(seal, value.checksum);
+  return Fnv1aFoldWord(seal, static_cast<uint64_t>(value.reached));
+}
+
+}  // namespace
 
 Status CacheOptions::Validate() const {
   if (result_budget_bytes < 0) {
@@ -47,6 +58,12 @@ int64_t ResultCache::EntryBytes(const CachedDepths& value) {
   return static_cast<int64_t>(value.depths.size()) + kNodeOverhead;
 }
 
+void ResultCache::Drop(Shard& shard, IndexIt it) {
+  shard.bytes -= EntryBytes(it->second->value);
+  shard.lru.erase(it->second);
+  shard.index.erase(it);
+}
+
 std::optional<CachedDepths> ResultCache::Get(graph::VertexId source) {
   Shard& shard = ShardFor(source);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -58,21 +75,17 @@ std::optional<CachedDepths> ResultCache::Get(graph::VertexId source) {
   Entry& entry = *it->second;
   if (entry.fingerprint != graph_fingerprint_) {
     // Stale graph: evict silently and miss.
-    shard.bytes -= EntryBytes(entry.value);
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
+    Drop(shard, it);
     ++shard.stats.misses;
     return std::nullopt;
   }
-  if (Fnv1a(entry.value.depths) != entry.value.checksum) {
-    // Stored bytes no longer match the checksum taken at insert: quarantine.
-    // Serving a corrupted depth vector would poison every future hit, so the
+  if (Seal(entry.value) != entry.seal) {
+    // Stored fields no longer match the seal taken at insert: quarantine.
+    // Serving a corrupted answer would poison every future hit, so the
     // entry is dropped and the query re-executes.
     ++shard.stats.quarantined;
     ++shard.stats.misses;
-    shard.bytes -= EntryBytes(entry.value);
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
+    Drop(shard, it);
     IBFS_LOG(Warning) << "result cache quarantined corrupted entry for source "
                       << source;
     return std::nullopt;
@@ -84,17 +97,14 @@ std::optional<CachedDepths> ResultCache::Get(graph::VertexId source) {
 
 void ResultCache::Put(graph::VertexId source, CachedDepths value) {
   const int64_t bytes = EntryBytes(value);
+  const uint64_t seal = Seal(value);
   Shard& shard = ShardFor(source);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(source);
-  if (it != shard.index.end()) {
-    shard.bytes -= EntryBytes(it->second->value);
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-  }
+  if (it != shard.index.end()) Drop(shard, it);
   if (bytes > shard_budget_bytes_) return;  // larger than a whole shard
   shard.lru.push_front(
-      Entry{source, graph_fingerprint_, std::move(value)});
+      Entry{source, graph_fingerprint_, seal, std::move(value)});
   shard.index.emplace(source, shard.lru.begin());
   shard.bytes += bytes;
   ++shard.stats.insertions;
@@ -114,11 +124,9 @@ std::optional<CachedDepths> ResultCache::Peek(graph::VertexId source) {
   if (it == shard.index.end()) return std::nullopt;
   Entry& entry = *it->second;
   if (entry.fingerprint != graph_fingerprint_ ||
-      Fnv1a(entry.value.depths) != entry.value.checksum) {
+      Seal(entry.value) != entry.seal) {
     if (entry.fingerprint == graph_fingerprint_) ++shard.stats.quarantined;
-    shard.bytes -= EntryBytes(entry.value);
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
+    Drop(shard, it);
     return std::nullopt;
   }
   return entry.value;
@@ -129,9 +137,7 @@ bool ResultCache::Erase(graph::VertexId source) {
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(source);
   if (it == shard.index.end()) return false;
-  shard.bytes -= EntryBytes(it->second->value);
-  shard.lru.erase(it->second);
-  shard.index.erase(it);
+  Drop(shard, it);
   return true;
 }
 
@@ -177,15 +183,28 @@ int64_t ResultCache::bytes_resident() const {
   return total;
 }
 
-bool ResultCache::CorruptEntryForTest(graph::VertexId source) {
+bool ResultCache::CorruptEntryForTest(graph::VertexId source, Field field,
+                                      std::optional<size_t> depth_index) {
   Shard& shard = ShardFor(source);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(source);
   if (it == shard.index.end()) return false;
-  std::vector<uint8_t>& depths = it->second->value.depths;
-  if (depths.empty()) return false;
-  depths[depths.size() / 2] ^= 0x40;
-  return true;
+  CachedDepths& value = it->second->value;
+  switch (field) {
+    case Field::kDepths: {
+      const size_t index = depth_index.value_or(value.depths.size() / 2);
+      if (index >= value.depths.size()) return false;
+      value.depths[index] ^= 0x40;
+      return true;
+    }
+    case Field::kChecksum:
+      value.checksum ^= 0x40;
+      return true;
+    case Field::kReached:
+      value.reached ^= 0x40;
+      return true;
+  }
+  return false;
 }
 
 PlanCache::PlanCache(uint64_t config_fingerprint, int capacity)

@@ -46,8 +46,8 @@ struct CacheStats {
   int64_t misses = 0;
   int64_t insertions = 0;
   int64_t evictions = 0;
-  /// Entries dropped because their stored checksum no longer matched the
-  /// stored bytes (corruption detected on read; treated as a miss).
+  /// Entries dropped because their seal no longer matched the stored
+  /// fields (corruption detected on read; treated as a miss).
   int64_t quarantined = 0;
   int64_t entries = 0;
   int64_t bytes_resident = 0;
@@ -62,9 +62,10 @@ struct CacheStats {
   }
 };
 
-/// One cached BFS answer: the depth vector, its FNV-1a checksum (computed
-/// at insert, re-verified at every read), and the reached-vertex count so
-/// hits can fill QueryResult without rescanning depths.
+/// One cached BFS answer: the depth vector, its FNV-1a answer checksum (the
+/// value QueryResult::depth_checksum reports, computed once by the writer),
+/// and the reached-vertex count so hits can fill QueryResult without
+/// rescanning depths.
 struct CachedDepths {
   std::vector<uint8_t> depths;
   uint64_t checksum = 0;
@@ -78,11 +79,14 @@ struct CachedDepths {
 /// lives in the stored key so Get can reject stale entries after a graph
 /// swap that skipped Invalidate.
 ///
-/// Integrity: Get recomputes the FNV-1a checksum of the stored bytes and
-/// compares it to the checksum stored at insert. A mismatch (bit rot, a
-/// torn write, a buggy mutation) quarantines the entry — it is erased,
-/// counted, and the lookup reports a miss — so a corrupted cache can cost
-/// latency but never wrong answers.
+/// Integrity: Put seals each entry with an in-process word-wise digest
+/// (Fnv1aWords over the depth bytes, then their length, the answer checksum
+/// and the reached count). Get and Peek recompute the seal over every stored
+/// byte before serving and compare it to the one taken at insert. A mismatch
+/// (bit rot, a torn write, a buggy mutation) quarantines the entry — it is
+/// erased, counted, and the lookup reports a miss — so a corrupted cache can
+/// cost latency but never wrong answers. The seal is never returned or
+/// compared outside this cache; the answer checksum travels unchanged.
 ///
 /// Thread safety: all methods are safe to call concurrently; each shard has
 /// its own mutex and LRU list.
@@ -95,8 +99,8 @@ class ResultCache {
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Returns the cached answer for `source`, or nullopt on miss, stale
-  /// fingerprint, or checksum mismatch (the latter also erases the entry
-  /// and bumps `quarantined`). A hit refreshes LRU recency.
+  /// fingerprint, or seal mismatch (the latter also erases the entry and
+  /// bumps `quarantined`). A hit refreshes LRU recency.
   std::optional<CachedDepths> Get(graph::VertexId source);
 
   /// Inserts (or refreshes) the answer for `source`, then evicts
@@ -106,8 +110,8 @@ class ResultCache {
 
   /// Read-only lookup for replication fan-out and join warmup: returns the
   /// entry without touching LRU recency or the hit/miss counters, but still
-  /// re-verifies the checksum (a corrupted entry is quarantined exactly as
-  /// in Get, so replicas never receive poisoned bytes).
+  /// re-verifies the seal (a corrupted entry is quarantined exactly as in
+  /// Get, so replicas never receive poisoned bytes).
   std::optional<CachedDepths> Peek(graph::VertexId source);
 
   /// Drops one entry (replica checksum-mismatch quarantine). Returns true
@@ -125,15 +129,23 @@ class ResultCache {
   CacheStats stats() const;
   int64_t bytes_resident() const;
 
-  /// Test hook: flips one byte of the stored depth vector for `source`
-  /// (if present) without updating its checksum, so the next Get exercises
-  /// the quarantine path. Returns true if an entry was corrupted.
-  bool CorruptEntryForTest(graph::VertexId source);
+  /// Which stored field CorruptEntryForTest damages.
+  enum class Field { kDepths, kChecksum, kReached };
+
+  /// Test hook: flips one bit of the stored entry for `source` (if present)
+  /// without resealing it, so the next Get or Peek exercises the quarantine
+  /// path. kDepths flips byte `depth_index` of the depth vector (default:
+  /// the middle byte); kChecksum and kReached flip a bit of that field.
+  /// Returns true if an entry was corrupted.
+  bool CorruptEntryForTest(graph::VertexId source, Field field = Field::kDepths,
+                           std::optional<size_t> depth_index = std::nullopt);
 
  private:
   struct Entry {
     graph::VertexId source = 0;
     uint64_t fingerprint = 0;
+    /// Seal of `value`, taken at Put and re-verified on every read.
+    uint64_t seal = 0;
     CachedDepths value;
   };
   struct Shard {
@@ -145,8 +157,13 @@ class ResultCache {
     CacheStats stats;
   };
 
+  using IndexIt =
+      std::unordered_map<graph::VertexId, std::list<Entry>::iterator>::iterator;
+
   Shard& ShardFor(graph::VertexId source);
   static int64_t EntryBytes(const CachedDepths& value);
+  /// Unlinks one resident entry and returns its bytes to the shard budget.
+  static void Drop(Shard& shard, IndexIt it);
 
   const uint64_t graph_fingerprint_;
   const Strategy strategy_;

@@ -236,6 +236,8 @@ std::optional<CachedDepths> BfsService::PeekCache(
 bool BfsService::WarmCache(graph::VertexId source, const CachedDepths& value) {
   if (result_cache_ == nullptr) return false;
   if (static_cast<int64_t>(source) >= graph_->vertex_count()) return false;
+  // The payload came from another shard: check its answer checksum before
+  // the cache seals it (a cold path, so byte-wise FNV-1a is fine here).
   if (Fnv1a(value.depths) != value.checksum) return false;
   result_cache_->Put(source, value);
   return true;
@@ -778,17 +780,18 @@ void BfsService::DispatchBatch(std::vector<PendingQuery> batch,
       int64_t failed = 0;
       int64_t expired = 0;
       std::vector<std::pair<size_t, QueryResult>> ready;
+      // One checksum/reached pass over the group's depth vectors, shared by
+      // every query that asked for a source and by its cache entry.
+      std::vector<Fnv1aCounted> digests(group.size());
+      if (outcome.status.ok()) {
+        IBFS_CHECK(outcome.result.depths.size() == group.size());
+        Fnv1aEach(outcome.result.depths, kUnvisitedDepth, digests);
+      }
       for (size_t j = 0; j < group.size(); ++j) {
-        // One checksum/reached scan per executed instance, shared by every
-        // query that asked for this source and by the cache entry.
-        uint64_t depth_checksum = 0;
-        int64_t reached = 0;
+        const uint64_t depth_checksum = digests[j].checksum;
+        const int64_t reached = digests[j].counted;
         if (outcome.status.ok()) {
           const std::vector<uint8_t>& depths = outcome.result.depths[j];
-          depth_checksum = Fnv1a(depths);
-          for (uint8_t d : depths) {
-            if (d != kUnvisitedDepth) ++reached;
-          }
           if (result_cache_ != nullptr) {
             // Degraded (CPU-fallback) answers are cached too: their depths
             // are correct, and the cache stores answers, not contracts.

@@ -88,7 +88,7 @@ struct ServiceOptions {
   ResilienceOptions resilience;
   /// Result + plan caching (docs/SERVING.md "Caching"). Hits are stripped
   /// at admission: the future resolves immediately from the cached depth
-  /// vector (checksum re-verified) without ever joining a batch.
+  /// vector (entry seal re-verified) without ever joining a batch.
   CacheOptions cache;
   /// Service-level telemetry: per-batch wall-clock trace tracks and
   /// service.* metrics. Kernel-level simulated-time spans stay off these

@@ -135,6 +135,46 @@ TEST(CacheResultTest, CorruptedEntryIsQuarantinedAndReinsertable) {
   EXPECT_TRUE(cache.Get(9).has_value());
 }
 
+TEST(CacheResultTest, EveryByteFlipIsQuarantinedByGetAndPeek) {
+  // 1,001 bytes: 31 four-word blocks, one leftover word, one tail byte.
+  std::vector<uint8_t> depths(1001);
+  for (size_t i = 0; i < depths.size(); ++i) {
+    depths[i] = static_cast<uint8_t>(i % 7 == 0 ? 0xff : i % 13);
+  }
+  ResultCache cache(1, Strategy::kBitwise, CacheOptions{});
+  for (size_t i = 0; i < depths.size(); ++i) {
+    cache.Put(3, MakeValue(depths));
+    ASSERT_TRUE(cache.CorruptEntryForTest(3, ResultCache::Field::kDepths, i));
+    EXPECT_FALSE(cache.Get(3).has_value()) << "byte " << i;
+    cache.Put(3, MakeValue(depths));
+    ASSERT_TRUE(cache.CorruptEntryForTest(3, ResultCache::Field::kDepths, i));
+    EXPECT_FALSE(cache.Peek(3).has_value()) << "byte " << i;
+  }
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.quarantined, 2 * static_cast<int64_t>(depths.size()));
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.entries, 0);
+  // An intact entry still round-trips.
+  cache.Put(3, MakeValue(depths));
+  ASSERT_TRUE(cache.Peek(3).has_value());
+  EXPECT_EQ(cache.Get(3)->depths, depths);
+}
+
+TEST(CacheResultTest, CorruptedChecksumOrReachedIsQuarantined) {
+  for (ResultCache::Field field :
+       {ResultCache::Field::kChecksum, ResultCache::Field::kReached}) {
+    ResultCache cache(1, Strategy::kBitwise, CacheOptions{});
+    cache.Put(4, MakeValue({0, 1, 2, 0xff}));
+    ASSERT_TRUE(cache.CorruptEntryForTest(4, field));
+    EXPECT_FALSE(cache.Get(4).has_value());
+    cache.Put(5, MakeValue({0, 1, 2, 0xff}));
+    ASSERT_TRUE(cache.CorruptEntryForTest(5, field));
+    EXPECT_FALSE(cache.Peek(5).has_value());
+    EXPECT_EQ(cache.stats().quarantined, 2);
+    EXPECT_EQ(cache.stats().entries, 0);
+  }
+}
+
 TEST(CacheResultTest, CorruptEntryForTestReportsAbsentSource) {
   ResultCache cache(1, Strategy::kBitwise, CacheOptions{});
   EXPECT_FALSE(cache.CorruptEntryForTest(42));
