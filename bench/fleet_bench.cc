@@ -22,10 +22,12 @@
 //    Zero unanswered futures and zero mismatches or the bench aborts.
 //    -> "elastic": {...}.
 //
-// 5. Replication sweep: the shard-count workload at R = {1, 2}; hedged
-//    reads race the second replica, answers stay bit-identical to the
-//    baseline, and the hedge counters quantify the insurance premium.
-//    -> "replication": [{replication, hedges_fired, ...}].
+// 5. Replication sweep: the shard-count workload at R = {1, 2} with the
+//    result cache on. R = 2 gates in-order failover reads: answers stay
+//    bit-identical to the baseline, replicas never disagree (zero
+//    mismatches), and OK reads fan their cache entry out to the other
+//    replica (replica_cache_writes > 0).
+//    -> "replication": [{replication, replica_cache_writes, ...}].
 //
 // Environment knobs: IBFS_GRAPH (default PK), IBFS_FLEET_QPS (default
 // 400), IBFS_FLEET_DURATION (default 1 s), IBFS_FLEET_VNODES (default
@@ -252,15 +254,13 @@ int Main() {
               episode.total_ms.p99);
 
   // Replication sweep: R = {1, 2} at 4 shards. R = 1 is the zero-overhead
-  // control; R = 2 hedges slow reads against the second replica. Both must
-  // reproduce the baseline checksums exactly.
+  // control; R = 2 reads fail over in replica order and fan OK answers out
+  // to the second replica's cache. Both must reproduce the baseline
+  // checksums exactly.
   struct ReplicationRow {
     int replication = 0;
     Latency latency;
     double achieved_qps = 0.0;
-    int64_t hedges_fired = 0;
-    int64_t hedges_won = 0;
-    int64_t hedges_cancelled = 0;
     int64_t replica_mismatches = 0;
     int64_t replica_cache_writes = 0;
     bool checksum_match = false;
@@ -287,9 +287,6 @@ int Main() {
     row.replication = replication;
     row.latency = Percentiles(drive.value().results);
     row.achieved_qps = drive.value().achieved_qps;
-    row.hedges_fired = drive.value().stats.hedges_fired;
-    row.hedges_won = drive.value().stats.hedges_won;
-    row.hedges_cancelled = drive.value().stats.hedges_cancelled;
     row.replica_mismatches = drive.value().stats.replica_mismatches;
     row.replica_cache_writes = drive.value().stats.replica_cache_writes;
     row.checksum_match = drive.value().checksum == baseline_checksum;
@@ -299,11 +296,12 @@ int Main() {
     IBFS_CHECK(row.replica_mismatches == 0)
         << row.replica_mismatches << " replica mismatches at R="
         << replication;
-    std::printf("replication R=%d: p50 %.2f ms, p99 %.2f ms, %lld hedges "
-                "(%lld won), match %s\n",
+    IBFS_CHECK(replication == 1 || row.replica_cache_writes > 0)
+        << "R=" << replication << " fanned no cache entry out to a replica";
+    std::printf("replication R=%d: p50 %.2f ms, p99 %.2f ms, %lld replica "
+                "cache writes, match %s\n",
                 replication, row.latency.p50, row.latency.p99,
-                static_cast<long long>(row.hedges_fired),
-                static_cast<long long>(row.hedges_won),
+                static_cast<long long>(row.replica_cache_writes),
                 row.checksum_match ? "yes" : "NO");
     replication_rows.push_back(row);
   }
@@ -447,12 +445,6 @@ int Main() {
     w.Double(row.latency.p99);
     w.Key("achieved_qps");
     w.Double(row.achieved_qps);
-    w.Key("hedges_fired");
-    w.Int(row.hedges_fired);
-    w.Key("hedges_won");
-    w.Int(row.hedges_won);
-    w.Key("hedges_cancelled");
-    w.Int(row.hedges_cancelled);
     w.Key("replica_mismatches");
     w.Int(row.replica_mismatches);
     w.Key("replica_cache_writes");

@@ -1,7 +1,8 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
-#include <chrono>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "baselines/reference_bfs.h"
@@ -19,6 +20,10 @@ std::span<const double> FanoutBounds() {
   static const std::vector<double> bounds = obs::PowerOfTwoBounds(1, 7);
   return bounds;
 }
+
+/// Workers running ReadInOrder wrappers at replication > 1. Each in-flight
+/// replicated read occupies one worker until a replica answers.
+constexpr int kReplicaReadThreads = 4;
 
 }  // namespace
 
@@ -47,8 +52,10 @@ Status FleetOptions::Validate() const {
   if (shards < 1) {
     return Status::InvalidArgument("fleet needs at least one shard");
   }
-  if (vnodes < 1) {
-    return Status::InvalidArgument("vnodes must be >= 1");
+  if (vnodes < 1 || vnodes > HashRing::kMaxShardPoints) {
+    return Status::InvalidArgument("vnodes must be in [1, " +
+                                   std::to_string(HashRing::kMaxShardPoints) +
+                                   "]");
   }
   if (error_rate_threshold < 0.0 || error_rate_threshold > 1.0) {
     return Status::InvalidArgument(
@@ -63,26 +70,8 @@ Status FleetOptions::Validate() const {
   if (replication < 1) {
     return Status::InvalidArgument("replication must be >= 1");
   }
-  if (hedge_p50_multiplier <= 0.0) {
-    return Status::InvalidArgument("hedge_p50_multiplier must be > 0");
-  }
-  if (hedge_min_delay_ms < 0.0) {
-    return Status::InvalidArgument("hedge_min_delay_ms must be >= 0");
-  }
-  if (hedge_threads < 1) {
-    return Status::InvalidArgument("hedge_threads must be >= 1");
-  }
   if (recovery_error_rate < 0.0 || recovery_error_rate > 1.0) {
     return Status::InvalidArgument("recovery_error_rate must be in [0, 1]");
-  }
-  if (rebalance_interval_s < 0.0) {
-    return Status::InvalidArgument("rebalance_interval_s must be >= 0");
-  }
-  if (rebalance_hysteresis < 1.0) {
-    return Status::InvalidArgument("rebalance_hysteresis must be >= 1");
-  }
-  if (rebalance_max_weight < 1) {
-    return Status::InvalidArgument("rebalance_max_weight must be >= 1");
   }
   if (warmup_limit < 0) {
     return Status::InvalidArgument("warmup_limit must be >= 0");
@@ -174,12 +163,7 @@ Result<std::unique_ptr<FleetFrontDoor>> FleetFrontDoor::Create(
   fleet->gather_pool_ =
       std::make_unique<ThreadPool>(fleet->options_.gather_threads);
   if (fleet->options_.replication > 1) {
-    fleet->hedge_pool_ =
-        std::make_unique<ThreadPool>(fleet->options_.hedge_threads);
-  }
-  if (fleet->options_.rebalance_interval_s > 0.0) {
-    fleet->rebalancer_ =
-        std::thread([raw = fleet.get()] { raw->RebalancerLoop(); });
+    fleet->replica_pool_ = std::make_unique<ThreadPool>(kReplicaReadThreads);
   }
   fleet->PublishHealthGauges();
   return fleet;
@@ -231,12 +215,11 @@ std::future<service::QueryResult> FleetFrontDoor::AnswerUnowned(
 std::future<service::QueryResult> FleetFrontDoor::SubmitRouted(
     graph::VertexId source, int* shard_out) {
   const uint64_t key = static_cast<uint64_t>(source);
-  std::future<service::QueryResult> primary_future;
-  HedgeContext ctx;
+  std::future<service::QueryResult> primary;
+  std::vector<int> replicas;
   {
     std::shared_lock<std::shared_mutex> route_lock(route_mu_);
-    std::vector<int> replicas =
-        ring_.ReplicasFor(key, std::max(1, options_.replication));
+    replicas = ring_.ReplicasFor(key, std::max(1, options_.replication));
     if (replicas.empty()) {
       route_lock.unlock();
       if (shard_out != nullptr) *shard_out = -1;
@@ -259,183 +242,93 @@ std::future<service::QueryResult> FleetFrontDoor::SubmitRouted(
     // after taking the unique lock, so a shard picked off the ring here is
     // still accepting (and a post-shutdown race inside BfsService resolves
     // the future with FailedPrecondition rather than dropping it).
-    primary_future = shards_[static_cast<size_t>(shard)]->Submit(source);
-    if (replicas.size() >= 2) {
-      ctx.source = source;
-      ctx.primary = shards_[static_cast<size_t>(shard)].get();
-      ctx.hedge = shards_[static_cast<size_t>(replicas[1])].get();
-      ctx.primary_shard = shard;
-      ctx.hedge_shard = replicas[1];
-      ctx.replicas = std::move(replicas);
-      // A degraded or breaker-dead primary does not get the benefit of the
-      // doubt: the hedge fires with the primary, not after it stalls.
-      ctx.fire_immediately =
-          health_[static_cast<size_t>(shard)] == ShardHealth::kDegraded ||
-          ctx.primary->BreakersOpen();
-      ctx.delay_ms =
-          options_.hedge_delay_ms >= 0.0
-              ? options_.hedge_delay_ms
-              : std::max(options_.hedge_min_delay_ms,
-                         options_.hedge_p50_multiplier *
-                             ctx.primary->LivePercentileMs(0.50));
-    }
+    primary = shards_[static_cast<size_t>(shard)]->Submit(source);
   }
-  if (ctx.hedge == nullptr) return primary_future;
-  ThreadPool* pool = nullptr;
-  {
-    std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
-    pool = hedge_pool_.get();
-  }
-  // Draining (or a single-shard ring): no hedging, the primary's answer is
-  // the answer.
-  if (pool == nullptr) return primary_future;
+  if (replicas.size() < 2) return primary;
+  std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
+  // Draining: no failover, the primary's answer is the answer.
+  if (replica_pool_ == nullptr) return primary;
   auto client = std::make_shared<std::promise<service::QueryResult>>();
   std::future<service::QueryResult> wrapped = client->get_future();
-  auto pending = std::make_shared<std::future<service::QueryResult>>(
-      std::move(primary_future));
-  pool->Submit([this, ctx, pending, client]() mutable {
-    RunHedged(std::move(ctx), std::move(*pending), std::move(client));
+  auto pending =
+      std::make_shared<std::future<service::QueryResult>>(std::move(primary));
+  replica_pool_->Submit([this, source, replicas = std::move(replicas),
+                         pending, client] {
+    ReadInOrder(source, replicas, std::move(*pending), *client);
   });
   return wrapped;
 }
 
-void FleetFrontDoor::RunHedged(
-    HedgeContext ctx, std::future<service::QueryResult> primary_future,
-    std::shared_ptr<std::promise<service::QueryResult>> client) {
-  using Clock = std::chrono::steady_clock;
-  using Leg = HedgeStateMachine::Leg;
-  using Action = HedgeStateMachine::Action;
-  const auto start = Clock::now();
-  HedgeStateMachine machine(ctx.delay_ms, ctx.fire_immediately);
-  std::future<service::QueryResult> hedge_future;
-  std::optional<service::QueryResult> primary_res;
-  std::optional<service::QueryResult> hedge_res;
-  const auto poll = [](std::future<service::QueryResult>& future,
-                       std::optional<service::QueryResult>& slot) {
-    if (!slot && future.valid() &&
-        future.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready) {
-      slot = future.get();
+void FleetFrontDoor::ReadInOrder(graph::VertexId source,
+                                 const std::vector<int>& replicas,
+                                 std::future<service::QueryResult> primary,
+                                 std::promise<service::QueryResult>& client) {
+  service::QueryResult result = primary.get();
+  int served = replicas[0];
+  for (size_t next = 1; next < replicas.size() && !result.status.ok();
+       ++next) {
+    std::future<service::QueryResult> retry;
+    {
+      // Same discipline as SubmitRouted: submit under the shared route
+      // lock. A replica killed since routing resolves FailedPrecondition
+      // and the walk moves on.
+      std::shared_lock<std::shared_mutex> route_lock(route_mu_);
+      retry = shards_[static_cast<size_t>(replicas[next])]->Submit(source);
     }
-  };
-  const auto leg = [](const std::optional<service::QueryResult>& slot) {
-    if (!slot) return Leg::kPending;
-    return slot->status.ok() ? Leg::kOk : Leg::kError;
-  };
-  constexpr auto kPoll = std::chrono::microseconds(200);
-  service::QueryResult winner;
-  bool winner_is_hedge = false;
-  for (;;) {
-    poll(primary_future, primary_res);
-    if (machine.hedge_fired()) poll(hedge_future, hedge_res);
-    const double now_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start)
-            .count();
-    const Action action = machine.Step(
-        now_ms, leg(primary_res),
-        machine.hedge_fired() ? leg(hedge_res) : Leg::kPending);
-    if (action == Action::kServePrimary) {
-      winner = *primary_res;
-      winner_is_hedge = false;
-      break;
-    }
-    if (action == Action::kServeHedge) {
-      winner = *hedge_res;
-      winner_is_hedge = true;
-      break;
-    }
-    if (action == Action::kFireHedge) {
-      hedge_future = ctx.hedge->Submit(ctx.source);
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++hedges_fired_;
-      }
-      BumpCounter("fleet.hedges_fired");
-      continue;
-    }
-    // kWait: park on whichever leg is pending; before the hedge fires the
-    // nap is capped by the remaining delay so the fire is timely.
-    auto nap = std::chrono::duration_cast<std::chrono::microseconds>(kPoll);
-    if (!machine.hedge_fired()) {
-      const double remaining_ms = ctx.delay_ms - now_ms;
-      const auto until_fire = std::chrono::microseconds(
-          static_cast<int64_t>(std::max(0.0, remaining_ms) * 1000.0) + 1);
-      nap = std::min(nap, until_fire);
-    }
-    if (!primary_res && primary_future.valid()) {
-      primary_future.wait_for(nap);
-    } else if (machine.hedge_fired() && !hedge_res && hedge_future.valid()) {
-      hedge_future.wait_for(nap);
-    } else {
-      std::this_thread::sleep_for(nap);
+    service::QueryResult answer = retry.get();
+    if (answer.status.ok()) {
+      result = std::move(answer);
+      served = replicas[next];
     }
   }
-  // Serve the winner before settling the loser: the client should never
-  // pay for the slower replica.
-  client->set_value(winner);
-  if (winner_is_hedge) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++hedges_won_;
+  const bool ok = result.status.ok();
+  client.set_value(std::move(result));
+  if (ok) FanOutCacheEntry(source, served, replicas);
+}
+
+void FleetFrontDoor::FanOutCacheEntry(graph::VertexId source, int winner,
+                                      const std::vector<int>& replicas) {
+  service::BfsService* winner_svc = nullptr;
+  std::vector<std::pair<int, service::BfsService*>> targets;
+  {
+    std::shared_lock<std::shared_mutex> route_lock(route_mu_);
+    winner_svc = shards_[static_cast<size_t>(winner)].get();
+    for (int replica : replicas) {
+      const size_t s = static_cast<size_t>(replica);
+      if (replica == winner || health_[s] == ShardHealth::kDown) continue;
+      targets.emplace_back(replica, shards_[s].get());
     }
-    BumpCounter("fleet.hedges_won");
   }
-  if (machine.hedge_fired()) {
-    std::future<service::QueryResult>& loser_future =
-        winner_is_hedge ? primary_future : hedge_future;
-    std::optional<service::QueryResult>& loser_res =
-        winner_is_hedge ? primary_res : hedge_res;
-    if (!loser_res && loser_future.valid()) loser_res = loser_future.get();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++hedges_cancelled_;
-    }
-    BumpCounter("fleet.hedges_cancelled");
-    if (loser_res && loser_res->status.ok() && winner.status.ok() &&
-        loser_res->depth_checksum != winner.depth_checksum) {
+  const std::optional<service::CachedDepths> entry =
+      winner_svc->PeekCache(source);
+  if (!entry) return;  // caching disabled or already evicted
+  std::vector<service::BfsService*> missing;
+  for (const auto& [shard, target] : targets) {
+    const std::optional<service::CachedDepths> held =
+        target->PeekCache(source);
+    if (!held) {
+      missing.push_back(target);
+    } else if (held->checksum != entry->checksum) {
       // Two self-consistent answers disagree: one replica is lying and the
       // front door cannot adjudicate without a third vote, so the source
-      // is quarantined out of both replicas' caches (forcing fresh
-      // recomputation on the next read) and the disagreement is counted.
-      ctx.primary->EvictCacheEntry(ctx.source);
-      ctx.hedge->EvictCacheEntry(ctx.source);
+      // is quarantined out of both caches (forcing fresh recomputation on
+      // the next read), the disagreement is counted, and the disputed
+      // answer is fanned out nowhere.
+      winner_svc->EvictCacheEntry(source);
+      target->EvictCacheEntry(source);
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++replica_mismatches_;
       }
       BumpCounter("fleet.replica_mismatches");
-      IBFS_LOG(Warning) << "replica checksum mismatch for source "
-                        << ctx.source << " between shards "
-                        << ctx.primary_shard << " and " << ctx.hedge_shard;
-      return;  // do not fan a disputed answer out to more replicas
-    }
-  }
-  if (winner.status.ok()) {
-    FanOutCacheEntry(ctx, winner_is_hedge ? ctx.hedge_shard
-                                          : ctx.primary_shard);
-  }
-}
-
-void FleetFrontDoor::FanOutCacheEntry(const HedgeContext& ctx,
-                                      int winner_shard) {
-  service::BfsService* winner =
-      winner_shard == ctx.primary_shard ? ctx.primary : ctx.hedge;
-  const std::optional<service::CachedDepths> entry =
-      winner->PeekCache(ctx.source);
-  if (!entry) return;  // caching disabled or already evicted
-  std::vector<service::BfsService*> targets;
-  {
-    std::shared_lock<std::shared_mutex> route_lock(route_mu_);
-    for (int replica : ctx.replicas) {
-      if (replica == winner_shard) continue;
-      const size_t s = static_cast<size_t>(replica);
-      if (s >= shards_.size() || health_[s] == ShardHealth::kDown) continue;
-      targets.push_back(shards_[s].get());
+      IBFS_LOG(Warning) << "replica checksum mismatch for source " << source
+                        << " between shards " << winner << " and " << shard;
+      return;
     }
   }
   int64_t writes = 0;
-  for (service::BfsService* target : targets) {
-    if (target->WarmCache(ctx.source, *entry)) ++writes;
+  for (service::BfsService* target : missing) {
+    if (target->WarmCache(source, *entry)) ++writes;
   }
   if (writes > 0) {
     {
@@ -547,6 +440,11 @@ bool FleetFrontDoor::KillShard(int shard) {
 Result<int> FleetFrontDoor::AddShard(int weight) {
   if (weight < 1) {
     return Status::InvalidArgument("shard weight must be >= 1");
+  }
+  if (!HashRing::PointsFit(options_.vnodes, weight)) {
+    return Status::InvalidArgument(
+        "vnodes x shard weight exceeds " +
+        std::to_string(HashRing::kMaxShardPoints) + " ring points");
   }
   {
     std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
@@ -702,84 +600,6 @@ int FleetFrontDoor::CheckHealth() {
   return transitions;
 }
 
-int FleetFrontDoor::Rebalance() {
-  struct Row {
-    int shard = 0;
-    double p99 = 0.0;
-  };
-  std::vector<Row> rows;
-  {
-    std::shared_lock<std::shared_mutex> route_lock(route_mu_);
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (health_[s] == ShardHealth::kDown) continue;
-      service::BfsService* svc = shards_[s].get();
-      // A shard without enough live samples has no measurable tail; leave
-      // its weight alone rather than steering on noise.
-      if (svc->LiveWindowCount() < options_.min_health_samples) continue;
-      rows.push_back({static_cast<int>(s), svc->LivePercentileMs(0.99)});
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++rebalance_runs_;
-  }
-  BumpCounter("fleet.rebalance_runs");
-  if (rows.size() < 2) return 0;
-  double mean = 0.0;
-  for (const Row& row : rows) mean += row.p99;
-  mean /= static_cast<double>(rows.size());
-  if (mean <= 0.0) return 0;
-  int changes = 0;
-  {
-    std::unique_lock<std::shared_mutex> route_lock(route_mu_);
-    for (const Row& row : rows) {
-      if (health_[static_cast<size_t>(row.shard)] == ShardHealth::kDown) {
-        continue;  // killed between the read and this pass
-      }
-      const int w = ring_.weight(row.shard);
-      if (w < 1) continue;
-      int target = w;
-      // Hysteresis band [mean/h, mean*h]: only act on clear outliers, one
-      // bounded step per pass, so the ring never thrashes.
-      if (row.p99 > options_.rebalance_hysteresis * mean) {
-        target = std::max(1, w - 1);
-      } else if (row.p99 * options_.rebalance_hysteresis < mean) {
-        target = std::min(options_.rebalance_max_weight, w + 1);
-      }
-      if (target != w) {
-        ring_.SetWeight(row.shard, target);
-        full_ring_.SetWeight(row.shard, target);
-        ++changes;
-      }
-    }
-  }
-  if (changes > 0) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      weight_changes_ += changes;
-    }
-    BumpCounter("fleet.weight_changes", changes);
-    PublishHealthGauges();
-  }
-  return changes;
-}
-
-void FleetFrontDoor::RebalancerLoop() {
-  const auto interval =
-      std::chrono::duration<double>(options_.rebalance_interval_s);
-  std::unique_lock<std::mutex> lock(rebalance_mu_);
-  while (!stop_rebalancer_) {
-    if (rebalance_cv_.wait_for(lock, interval,
-                               [this] { return stop_rebalancer_; })) {
-      break;
-    }
-    lock.unlock();
-    CheckHealth();
-    Rebalance();
-    lock.lock();
-  }
-}
-
 int FleetFrontDoor::OwnerShard(graph::VertexId source) const {
   std::shared_lock<std::shared_mutex> route_lock(route_mu_);
   return ring_.ShardFor(static_cast<uint64_t>(source));
@@ -891,14 +711,9 @@ FleetStats FleetFrontDoor::stats() const {
     fleet.multi_sources = multi_sources_;
     fleet.shard_joins = shard_joins_;
     fleet.warmup_entries = warmup_entries_;
-    fleet.hedges_fired = hedges_fired_;
-    fleet.hedges_won = hedges_won_;
-    fleet.hedges_cancelled = hedges_cancelled_;
     fleet.replica_mismatches = replica_mismatches_;
     fleet.replica_cache_writes = replica_cache_writes_;
     fleet.recoveries = recoveries_;
-    fleet.rebalance_runs = rebalance_runs_;
-    fleet.weight_changes = weight_changes_;
   }
   return fleet;
 }
@@ -906,12 +721,6 @@ FleetStats FleetFrontDoor::stats() const {
 void FleetFrontDoor::Shutdown() {
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
   if (joined_) return;
-  {
-    std::lock_guard<std::mutex> lock(rebalance_mu_);
-    stop_rebalancer_ = true;
-  }
-  rebalance_cv_.notify_all();
-  if (rebalancer_.joinable()) rebalancer_.join();
   std::vector<service::BfsService*> services;
   {
     std::shared_lock<std::shared_mutex> route_lock(route_mu_);
@@ -919,11 +728,11 @@ void FleetFrontDoor::Shutdown() {
     for (const auto& shard : shards_) services.push_back(shard.get());
   }
   for (service::BfsService* shard : services) shard->Shutdown();
-  // Every shard future is resolved now: hedged wrappers finish their
-  // polls immediately, then gather tasks (which wait on the wrapped
-  // futures those wrappers resolve) finish too — so the pools must drain
-  // in this order.
-  hedge_pool_.reset();
+  // Every shard future is resolved now, and a failover submit to a drained
+  // shard resolves at once: replica reads finish, then gather tasks (which
+  // wait on the wrapped futures those reads resolve) finish too — so the
+  // pools must drain in this order.
+  replica_pool_.reset();
   gather_pool_.reset();
   joined_ = true;
 }

@@ -1,15 +1,11 @@
 #ifndef IBFS_FLEET_FLEET_H_
 #define IBFS_FLEET_FLEET_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "graph/csr.h"
@@ -34,9 +30,9 @@ namespace ibfs::fleet {
 ///
 /// The fleet is elastic and redundant (docs/SERVING.md "Elasticity &
 /// replication"): AddShard joins a fresh shard with a targeted cache
-/// warmup of the segment it steals, replication > 1 routes each source to
-/// an ordered replica set with hedged reads against the second replica,
-/// and Rebalance adjusts ring weights from live per-shard p99.
+/// warmup of the segment it steals, and replication > 1 routes each source
+/// to an ordered replica set, failing a read over down the set in order
+/// until a replica answers OK.
 
 /// Front-door view of one shard's health. A degraded shard keeps serving —
 /// its answers are still correct — and CheckHealth restores it to healthy
@@ -61,7 +57,8 @@ struct FleetOptions {
   /// Initial shard count; each shard is one independent BfsService.
   /// AddShard grows the fleet beyond this at runtime.
   int shards = 4;
-  /// Virtual nodes per unit of ring weight (HashRing::Options).
+  /// Virtual nodes per unit of ring weight (HashRing::Options), at most
+  /// HashRing::kMaxShardPoints.
   int vnodes = 128;
   /// Ring placement seed; fleets with equal seeds route identically.
   uint64_t ring_seed = 2016;
@@ -84,36 +81,16 @@ struct FleetOptions {
 
   /// Replication factor R: each source routes to an ordered set of R
   /// distinct shards (primary first). At R = 1 reads go straight to the
-  /// owner (the PR-8 behavior, zero added overhead); at R > 1 reads hedge
-  /// to the second replica and OK answers fan their cache entry out to
-  /// the other replicas.
+  /// owner with zero added overhead; at R > 1 a read whose answer is an
+  /// error is resubmitted to the next replica in order, and the first OK
+  /// answer fans its cache entry out to the other replicas.
   int replication = 1;
-  /// Hedge trigger delay in host ms. Negative = derive per query from the
-  /// primary's live p50 (hedge_p50_multiplier * p50, floored at
-  /// hedge_min_delay_ms). The hedge fires with no delay at all when the
-  /// primary is kDegraded, its breakers are all open, or its leg already
-  /// failed.
-  double hedge_delay_ms = -1.0;
-  double hedge_p50_multiplier = 2.0;
-  double hedge_min_delay_ms = 0.2;
-  /// Workers running hedged-read wrappers at R > 1 (>= 1). Each in-flight
-  /// replicated read occupies one worker until its primary (or hedge)
-  /// answers.
-  int hedge_threads = 4;
 
   /// Recovery probe: a degraded shard returns to healthy once its rolling
   /// live error ratio and its failure rate since the degrade snapshot are
   /// both at or below this, with no new breaker/quarantine/fallback
   /// signals since the degrade.
   double recovery_error_rate = 0.05;
-
-  /// Rebalancing controller. 0 disables the periodic thread; Rebalance()
-  /// can still be called manually. Each pass moves a shard's ring weight
-  /// by at most one step within [1, rebalance_max_weight], and only when
-  /// its rolling p99 leaves the [mean/h, mean*h] hysteresis band.
-  double rebalance_interval_s = 0.0;
-  double rebalance_hysteresis = 1.5;
-  int rebalance_max_weight = 4;
 
   /// Max donor cache entries replayed into a joining shard's cache.
   int64_t warmup_limit = 4096;
@@ -144,20 +121,13 @@ struct FleetStats {
   int64_t multi_queries = 0;
   int64_t multi_sources = 0;
   /// Elasticity accounting: shards joined, donor cache entries replayed
-  /// into joiners, hedged reads fired / won by the hedge / discarded
-  /// loser legs, replica checksum disagreements, replica cache fan-out
-  /// writes, degraded->healthy recoveries, rebalance passes, and ring
-  /// weight adjustments applied.
+  /// into joiners, replica checksum disagreements, replica cache fan-out
+  /// writes, and degraded->healthy recoveries.
   int64_t shard_joins = 0;
   int64_t warmup_entries = 0;
-  int64_t hedges_fired = 0;
-  int64_t hedges_won = 0;
-  int64_t hedges_cancelled = 0;
   int64_t replica_mismatches = 0;
   int64_t replica_cache_writes = 0;
   int64_t recoveries = 0;
-  int64_t rebalance_runs = 0;
-  int64_t weight_changes = 0;
   /// Configured replication factor.
   int replication = 1;
   int healthy = 0;
@@ -189,66 +159,9 @@ struct MultiQueryResult {
   int shards_touched = 0;
 };
 
-/// Pure decision core of one hedged read, driven entirely by an external
-/// clock and observed leg states — no timers, threads, or futures — so
-/// tests pin the fire/serve/cancel ordering with a fake clock. The
-/// enclosing wrapper polls its two futures, translates them to LegStates,
-/// and executes whatever action Step returns.
-///
-/// Policy: the primary is served the moment it answers OK (primary wins
-/// ties). The hedge fires once, when the delay expires, immediately when
-/// constructed with `fire_immediately`, or the moment the primary leg
-/// fails — an error is a stronger signal than a slow p50. An errored leg
-/// is never served while the other leg is still pending; only when both
-/// legs have failed does the primary's error propagate.
-class HedgeStateMachine {
- public:
-  /// Observed state of one request leg.
-  enum class Leg {
-    kPending = 0,  ///< in flight (or, for the hedge, not yet fired)
-    kOk = 1,
-    kError = 2,
-  };
-  enum class Action {
-    kWait = 0,
-    kFireHedge = 1,
-    kServePrimary = 2,
-    kServeHedge = 3,
-  };
-
-  HedgeStateMachine(double delay_ms, bool fire_immediately)
-      : delay_ms_(delay_ms), fire_immediately_(fire_immediately) {}
-
-  /// Advances the machine at `now_ms` (ms since the primary was
-  /// submitted). Returns kFireHedge exactly once.
-  Action Step(double now_ms, Leg primary, Leg hedge) {
-    if (primary == Leg::kOk) return Action::kServePrimary;
-    if (!fired_) {
-      if (fire_immediately_ || primary == Leg::kError ||
-          now_ms >= delay_ms_) {
-        fired_ = true;
-        return Action::kFireHedge;
-      }
-      return Action::kWait;
-    }
-    if (hedge == Leg::kOk) return Action::kServeHedge;
-    if (primary == Leg::kError && hedge == Leg::kError) {
-      return Action::kServePrimary;  // both failed: propagate primary's error
-    }
-    return Action::kWait;
-  }
-
-  bool hedge_fired() const { return fired_; }
-
- private:
-  double delay_ms_;
-  bool fire_immediately_;
-  bool fired_ = false;
-};
-
 /// The scatter-gather front door. Thread-safe: Submit/MultiQuery/
 /// SubmitMulti may be called from any number of client threads
-/// concurrently with KillShard, AddShard, CheckHealth, and Rebalance.
+/// concurrently with KillShard, AddShard, and CheckHealth.
 /// Shutdown (or destruction) drains every shard — no future is ever
 /// abandoned.
 class FleetFrontDoor {
@@ -262,8 +175,8 @@ class FleetFrontDoor {
   FleetFrontDoor(const FleetFrontDoor&) = delete;
   FleetFrontDoor& operator=(const FleetFrontDoor&) = delete;
 
-  /// Routes one query to the owning shard (at replication > 1, to its
-  /// replica set with a hedged read). The future always becomes ready:
+  /// Routes one query to the owning shard (at replication > 1, down its
+  /// replica set until one answers OK). The future always becomes ready:
   /// from a shard, from the CPU fallback (degraded) when no shard is
   /// left, or with Unavailable when fallback is disabled too.
   std::future<service::QueryResult> Submit(graph::VertexId source);
@@ -288,7 +201,8 @@ class FleetFrontDoor {
   /// remapped sources from the surviving shards' result caches into the
   /// new shard's cache, so a hot source that was cached anywhere misses
   /// the fleet cache zero times after the join and a cold one at most
-  /// once. Returns the new shard's id.
+  /// once. Returns the new shard's id, or InvalidArgument when the weight
+  /// is < 1 or vnodes x weight exceeds HashRing::kMaxShardPoints.
   Result<int> AddShard(int weight = 1);
 
   /// Health probe over every live shard: marks shards degraded when their
@@ -298,15 +212,6 @@ class FleetFrontDoor {
   /// Refreshes the fleet.* health gauges. Returns the number of shards
   /// whose health changed.
   int CheckHealth();
-
-  /// One pass of the weighted rebalancing controller: reads every live
-  /// shard's rolling p99 and moves ring weight away from shards slower
-  /// than rebalance_hysteresis x the fleet mean (and toward faster ones),
-  /// one step at a time within [1, rebalance_max_weight]. Shards without
-  /// min_health_samples live samples are left alone. Returns the number
-  /// of weight changes applied. Runs periodically when
-  /// rebalance_interval_s > 0.
-  int Rebalance();
 
   /// The shard currently owning `source` (-1 when the ring is empty).
   int OwnerShard(graph::VertexId source) const;
@@ -346,18 +251,6 @@ class FleetFrontDoor {
     int64_t fallback_groups = 0;
   };
 
-  /// Everything a hedged-read wrapper task needs, captured at route time.
-  struct HedgeContext {
-    graph::VertexId source = 0;
-    service::BfsService* primary = nullptr;
-    service::BfsService* hedge = nullptr;
-    int primary_shard = -1;
-    int hedge_shard = -1;
-    std::vector<int> replicas;
-    double delay_ms = 0.0;
-    bool fire_immediately = false;
-  };
-
   FleetFrontDoor(const graph::Csr* graph, FleetOptions options);
 
   /// Routing core shared by Submit and the scatter paths. Returns the
@@ -368,34 +261,36 @@ class FleetFrontDoor {
   /// Resolves a future inline from the CPU reference BFS (degraded) or
   /// with Unavailable, for sources no shard can own anymore.
   std::future<service::QueryResult> AnswerUnowned(graph::VertexId source);
-  /// Body of one hedged read: runs a HedgeStateMachine against the real
-  /// clock, serves the winner into `client`, drains and accounts the
-  /// loser, quarantines both replicas' cache entries on a checksum
-  /// disagreement, and fans the winner's cache entry out to the replicas.
-  void RunHedged(HedgeContext ctx,
-                 std::future<service::QueryResult> primary_future,
-                 std::shared_ptr<std::promise<service::QueryResult>> client);
-  /// Replicates the winner's cached entry for `source` to the other live
-  /// replicas (checksum-verified on both ends).
-  void FanOutCacheEntry(const HedgeContext& ctx, int winner_shard);
+  /// Body of one replicated read: waits for the primary's answer and, while
+  /// it is an error, submits to the next replica in `replicas` order.
+  /// Serves the first OK answer (or the primary's error when every replica
+  /// failed) into `client`, then fans the serving shard's cache entry out.
+  void ReadInOrder(graph::VertexId source, const std::vector<int>& replicas,
+                   std::future<service::QueryResult> primary,
+                   std::promise<service::QueryResult>& client);
+  /// Replicates `winner`'s cached entry for `source` to the other live
+  /// replicas that lack it. A replica already holding the source under a
+  /// different checksum is a mismatch: both entries are evicted and
+  /// nothing is written.
+  void FanOutCacheEntry(graph::VertexId source, int winner,
+                        const std::vector<int>& replicas);
   MultiQueryResult Gather(std::vector<std::future<service::QueryResult>>
                               futures,
                           int shards_touched);
   void PublishHealthGauges();
-  void RebalancerLoop();
   void BumpCounter(const char* name, int64_t amount = 1);
 
   const graph::Csr* graph_;
   FleetOptions options_;
 
   /// Routing state. `ring_` tracks the live fleet (losing segments on
-  /// kills, gaining them on joins and weight changes); `full_ring_`
-  /// mirrors joins and weight changes but never removals, identifying
-  /// each source's failure-free home shard so reroutes can be counted.
+  /// kills, gaining them on joins); `full_ring_` mirrors joins but never
+  /// removals, identifying each source's failure-free home shard so
+  /// reroutes can be counted.
   /// `shards_` only ever grows and entries are never destroyed before
   /// Shutdown, so a BfsService* read under the lock stays valid after
   /// releasing it. Shared-locked on the submit path, unique-locked by
-  /// KillShard/AddShard/CheckHealth/Rebalance.
+  /// KillShard/AddShard/CheckHealth.
   mutable std::shared_mutex route_mu_;
   std::vector<std::unique_ptr<service::BfsService>> shards_;
   HashRing ring_;
@@ -412,25 +307,15 @@ class FleetFrontDoor {
   int64_t multi_sources_ = 0;
   int64_t shard_joins_ = 0;
   int64_t warmup_entries_ = 0;
-  int64_t hedges_fired_ = 0;
-  int64_t hedges_won_ = 0;
-  int64_t hedges_cancelled_ = 0;
   int64_t replica_mismatches_ = 0;
   int64_t replica_cache_writes_ = 0;
   int64_t recoveries_ = 0;
-  int64_t rebalance_runs_ = 0;
-  int64_t weight_changes_ = 0;
 
   std::unique_ptr<ThreadPool> gather_pool_;
-  /// Runs hedged-read wrappers at replication > 1; reset before
+  /// Runs ReadInOrder wrappers at replication > 1; reset before
   /// gather_pool_ at Shutdown (gather tasks wait on wrapped futures that
-  /// hedge tasks resolve).
-  std::unique_ptr<ThreadPool> hedge_pool_;
-
-  std::thread rebalancer_;
-  std::mutex rebalance_mu_;
-  std::condition_variable rebalance_cv_;
-  bool stop_rebalancer_ = false;  // guarded by rebalance_mu_
+  /// replica reads resolve).
+  std::unique_ptr<ThreadPool> replica_pool_;
 
   bool joined_ = false;  // guarded by shutdown_mu_
   std::mutex shutdown_mu_;

@@ -53,6 +53,12 @@ Result<FleetDriveResult> DriveFleet(
   if (options.kill_shard >= fleet->options().shards) {
     return Status::InvalidArgument("kill_shard outside the fleet");
   }
+  if (options.join_shards > 0 &&
+      !HashRing::PointsFit(fleet->options().vnodes, options.join_weight)) {
+    return Status::InvalidArgument("join_weight x vnodes exceeds " +
+                                   std::to_string(HashRing::kMaxShardPoints) +
+                                   " ring points");
+  }
 
   bool kill_pending = options.kill_shard >= 0;
   const double kill_at_s = options.kill_at_s >= 0.0
@@ -195,14 +201,9 @@ obs::FleetReport BuildFleetReport(const std::string& graph_name,
   report.replication = stats.replication;
   report.shard_joins = stats.shard_joins;
   report.warmup_entries = stats.warmup_entries;
-  report.hedges_fired = stats.hedges_fired;
-  report.hedges_won = stats.hedges_won;
-  report.hedges_cancelled = stats.hedges_cancelled;
   report.replica_mismatches = stats.replica_mismatches;
   report.replica_cache_writes = stats.replica_cache_writes;
   report.recoveries = stats.recoveries;
-  report.rebalance_runs = stats.rebalance_runs;
-  report.weight_changes = stats.weight_changes;
   for (size_t s = 0; s < stats.shard.size(); ++s) {
     obs::FleetReportShard row;
     row.shard = static_cast<int>(s);

@@ -290,8 +290,10 @@ struct FleetReportShard {
 struct FleetReport : JsonDocument<FleetReport> {
   static constexpr const char* kSchema = "ibfs.fleet_report";
   /// v2 adds the "elasticity" section (replication, joins, warmup,
-  /// hedging, recoveries, rebalancing) and per-shard ring weights.
-  static constexpr int kSchemaVersion = 2;
+  /// replica fan-out, recoveries) and per-shard ring weights. v3 drops
+  /// the hedging and rebalancing counters from "elasticity"; v2 documents
+  /// carrying them still validate.
+  static constexpr int kSchemaVersion = 3;
 
   // Fleet configuration.
   std::string graph;
@@ -317,19 +319,13 @@ struct FleetReport : JsonDocument<FleetReport> {
   int64_t joined_shards = 0;
 
   // Elasticity & replication (schema v2): the configured replication
-  // factor and the front door's join/warmup/hedge/recovery/rebalance
-  // counters.
+  // factor and the front door's join/warmup/replica/recovery counters.
   int64_t replication = 1;
   int64_t shard_joins = 0;
   int64_t warmup_entries = 0;
-  int64_t hedges_fired = 0;
-  int64_t hedges_won = 0;
-  int64_t hedges_cancelled = 0;
   int64_t replica_mismatches = 0;
   int64_t replica_cache_writes = 0;
   int64_t recoveries = 0;
-  int64_t rebalance_runs = 0;
-  int64_t weight_changes = 0;
 
   // Per-shard sections, indexed by shard.
   std::vector<FleetReportShard> shard_rows;

@@ -325,14 +325,9 @@ void Describe(Walk& v, const FleetReport& r) {
         v.Field("replication", r.replication);
         v.Field("shard_joins", r.shard_joins);
         v.Field("warmup_entries", r.warmup_entries);
-        v.Field("hedges_fired", r.hedges_fired);
-        v.Field("hedges_won", r.hedges_won);
-        v.Field("hedges_cancelled", r.hedges_cancelled);
         v.Field("replica_mismatches", r.replica_mismatches);
         v.Field("replica_cache_writes", r.replica_cache_writes);
         v.Field("recoveries", r.recoveries);
-        v.Field("rebalance_runs", r.rebalance_runs);
-        v.Field("weight_changes", r.weight_changes);
       },
       /*since=*/2);
   v.Rows("shards_detail", r.shard_rows);
@@ -363,7 +358,6 @@ constexpr Rule kFleetRules[] = {
     Min("fleet.shards", 1.0),
     Min("elasticity.*", 0.0),
     Min("elasticity.replication", 1.0),
-    NotAbove("elasticity.hedges_won", "hedges_fired"),
     Min("shards_detail.*.*", 0.0),
     OneOf("shards_detail.*.health", "healthy|degraded|down"),
     Min("aggregate.*", 0.0),

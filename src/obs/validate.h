@@ -51,9 +51,8 @@ Status ValidateServiceReport(const JsonValue& doc);
 /// counters, checksum_mismatches <= checksums_compared.
 Status ValidateResilienceReport(const JsonValue& doc);
 /// "ibfs.fleet_report": shards >= 1, replication >= 1, non-negative
-/// counters, a known health state per shard row, hedges_won <=
-/// hedges_fired, checksum_mismatches <= checksums_compared, ordered
-/// latency percentiles.
+/// counters, a known health state per shard row, checksum_mismatches <=
+/// checksums_compared, ordered latency percentiles.
 Status ValidateFleetReport(const JsonValue& doc);
 /// "ibfs.flight_record": non-negative query latencies.
 Status ValidateFlightRecord(const JsonValue& doc);

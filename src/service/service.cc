@@ -210,16 +210,8 @@ void BfsService::PublishLiveTelemetry() {
   }
 }
 
-double BfsService::LivePercentileMs(double p) const {
-  return live_stats_.PercentileMs(NowS(), p);
-}
-
 double BfsService::LiveErrorRatio() const {
   return live_stats_.ErrorRatio(NowS());
-}
-
-int64_t BfsService::LiveWindowCount() const {
-  return live_stats_.WindowCount(NowS());
 }
 
 std::vector<graph::VertexId> BfsService::CachedSources() const {
@@ -248,10 +240,6 @@ bool BfsService::EvictCacheEntry(graph::VertexId source) {
   return result_cache_->Erase(source);
 }
 
-void BfsService::RecordLiveSampleForTest(double total_ms, bool ok) {
-  live_stats_.RecordQuery(NowS(), total_ms, ok);
-}
-
 void BfsService::TripBreakersForTest() {
   const int devices = options_.engine.faults.device_count;
   for (int d = 0; d < devices; ++d) {
@@ -259,10 +247,6 @@ void BfsService::TripBreakersForTest() {
       router_->ReportFailure(d);
     }
   }
-}
-
-bool BfsService::BreakersOpen() const {
-  return router_ != nullptr && router_->healthy_count() == 0;
 }
 
 Result<std::unique_ptr<BfsService>> BfsService::Create(

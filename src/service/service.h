@@ -267,14 +267,11 @@ class BfsService {
   /// to call from anywhere; a no-op for sinks that are not configured.
   void PublishLiveTelemetry();
 
-  /// Rolling-window views over the live stats (window = live_window_s,
-  /// same data behind the live.* gauges). The fleet's rebalancing
-  /// controller reads the percentiles; its health recovery probe reads the
-  /// error ratio, which — unlike Stats::failed — forgets a burst once the
-  /// window slides past it.
-  double LivePercentileMs(double p) const;
+  /// Rolling-window error ratio over the live stats (window =
+  /// live_window_s, same data behind the live.* gauges). The fleet's
+  /// health recovery probe reads it because — unlike Stats::failed — it
+  /// forgets a burst once the window slides past it.
   double LiveErrorRatio() const;
-  int64_t LiveWindowCount() const;
 
   /// Sources currently resident in the result cache (empty when caching is
   /// disabled). Donor-side enumeration for fleet join warmup.
@@ -290,17 +287,10 @@ class BfsService {
   /// Drops one cached answer (replica checksum-mismatch quarantine).
   bool EvictCacheEntry(graph::VertexId source);
 
-  /// Test hook: records one synthetic completion into the rolling live
-  /// window, so controllers that read LivePercentileMs can be driven
-  /// deterministically without timing-sensitive traffic.
-  void RecordLiveSampleForTest(double total_ms, bool ok);
   /// Test hook: opens every device circuit breaker, as a burst of
   /// persistent device failures would. With cpu_fallback off the next
-  /// groups fail Unavailable — how hedging tests force a sick primary.
+  /// groups fail Unavailable — how failover tests force a sick primary.
   void TripBreakersForTest();
-  /// True when every device breaker is open (the service can only answer
-  /// via CPU fallback, if enabled). One of the fleet's hedge triggers.
-  bool BreakersOpen() const;
 
   Stats stats() const;
   const ServiceOptions& options() const { return options_; }

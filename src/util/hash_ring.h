@@ -30,15 +30,21 @@ namespace ibfs {
 /// Not thread-safe; FleetFrontDoor guards its ring with a shared mutex.
 class HashRing {
  public:
+  /// Cap on one shard's virtual nodes (vnodes x weight): 1 MiB of points
+  /// per shard, so an outsized join weight cannot exhaust memory or
+  /// overflow the int point count.
+  static constexpr int kMaxShardPoints = 1 << 16;
+
   struct Options {
     /// Virtual nodes per unit of weight. More vnodes = smoother balance at
-    /// the cost of a larger (still tiny) sorted point table.
+    /// the cost of a larger (still tiny) sorted point table. Clamped to
+    /// [1, kMaxShardPoints].
     int vnodes = 128;
     /// Placement seed; rings with equal seeds route identically.
     uint64_t seed = 2016;
     /// Optional per-shard weights (empty = all 1). Shard s gets
     /// vnodes * weights[s] points, i.e. roughly weights[s] / sum(weights)
-    /// of the key space.
+    /// of the key space. Clamped to [1, kMaxShardPoints / vnodes].
     std::vector<int> weights;
   };
 
@@ -54,14 +60,22 @@ class HashRing {
   explicit HashRing(int shard_count) : HashRing(shard_count, Options()) {}
 
   HashRing(int shard_count, Options options)
-      : seed_(options.seed), vnodes_(options.vnodes < 1 ? 1 : options.vnodes) {
+      : seed_(options.seed),
+        vnodes_(std::clamp(options.vnodes, 1, kMaxShardPoints)) {
     for (int shard = 0; shard < shard_count; ++shard) {
       const int weight =
           static_cast<size_t>(shard) < options.weights.size()
-              ? std::max(1, options.weights[static_cast<size_t>(shard)])
+              ? std::clamp(options.weights[static_cast<size_t>(shard)], 1,
+                           kMaxShardPoints / vnodes_)
               : 1;
       Add(shard, weight);
     }
+  }
+
+  /// Whether a shard of `weight` fits under kMaxShardPoints at `vnodes`
+  /// virtual nodes per unit of weight.
+  static bool PointsFit(int vnodes, int weight) {
+    return static_cast<int64_t>(vnodes) * weight <= kMaxShardPoints;
   }
 
   /// Owning shard for `key`, or -1 when every shard has been removed.
@@ -98,9 +112,9 @@ class HashRing {
   /// reclaims exactly the points it had before at the same weight, and only
   /// keys landing on the inserted points move — minimal disruption.
   /// Returns false when the shard is already active, the id would leave a
-  /// gap (> shard_count()), or the weight is < 1.
+  /// gap (> shard_count()), or the weight is < 1 or past PointsFit.
   bool Add(int shard, int weight = 1) {
-    if (shard < 0 || weight < 1 ||
+    if (shard < 0 || weight < 1 || !PointsFit(vnodes_, weight) ||
         static_cast<size_t>(shard) > active_.size()) {
       return false;
     }
@@ -124,21 +138,6 @@ class HashRing {
     active_[static_cast<size_t>(shard)] = false;
     weights_[static_cast<size_t>(shard)] = 0;
     ErasePoints(shard);
-    return true;
-  }
-
-  /// Changes an active shard's weight by rebuilding only that shard's
-  /// points: growing from w to w' adds vnodes*(w'-w) points (stealing only
-  /// the keys they capture), shrinking removes the tail points (releasing
-  /// only the keys they owned). Keys not adjacent to the changed points
-  /// keep their owner. Returns false for inactive shards or weight < 1.
-  bool SetWeight(int shard, int weight) {
-    if (!Contains(shard) || weight < 1) return false;
-    const int current = weights_[static_cast<size_t>(shard)];
-    if (weight == current) return true;
-    ErasePoints(shard);
-    weights_[static_cast<size_t>(shard)] = weight;
-    InsertPoints(shard, weight);
     return true;
   }
 
@@ -203,9 +202,10 @@ class HashRing {
   }
 
   void InsertPoints(int shard, int weight) {
+    const int points = vnodes_ * weight;  // <= kMaxShardPoints (PointsFit)
     std::vector<Point> fresh;
-    fresh.reserve(static_cast<size_t>(vnodes_) * static_cast<size_t>(weight));
-    for (int v = 0; v < vnodes_ * weight; ++v) {
+    fresh.reserve(static_cast<size_t>(points));
+    for (int v = 0; v < points; ++v) {
       const uint64_t point =
           Mix(seed_ ^ Mix((static_cast<uint64_t>(shard) << 32) |
                           static_cast<uint64_t>(v)));

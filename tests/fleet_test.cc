@@ -4,11 +4,10 @@
 // every shard count and replication factor, scatter-gather merge
 // determinism, health/failover behavior with degrade->recover lifecycle,
 // the CPU-fallback path, cache behavior across a failover, elastic joins
-// with targeted cache warmup, hedged reads (fake-clock state machine and
-// live breaker-driven hedging), replica mismatch quarantine, the weighted
-// rebalancing controller, and the chaos harness + fleet-report validator.
-// Suite names start with "Fleet", "HashRing", or "Hedge" so the tsan
-// preset's filter picks them up.
+// with targeted cache warmup, in-order replica failover reads, replica
+// cache fan-out and mismatch quarantine, and the chaos harness +
+// fleet-report validator. Suite names start with "Fleet" or "HashRing" so
+// the tsan preset's filter picks them up.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -201,41 +200,12 @@ TEST(HashRingAddTest, RejectsActiveGapAndBadWeightIds) {
   EXPECT_FALSE(ring.Add(0));      // already active
   EXPECT_FALSE(ring.Add(4));      // would leave a gap (2 is the next id)
   EXPECT_FALSE(ring.Add(2, 0));   // weight < 1
+  // vnodes x weight past the point cap (the id stays free, no gap).
+  EXPECT_FALSE(ring.Add(2, HashRing::kMaxShardPoints / 8 + 1));
   EXPECT_FALSE(ring.Add(-1));
   EXPECT_TRUE(ring.Add(2, 2));    // next id, weighted join
   EXPECT_EQ(ring.weight(2), 2);
   EXPECT_EQ(ring.shard_count(), 3);
-}
-
-TEST(HashRingAddTest, WeightGrowthOnlyPullsKeysTowardTheShard) {
-  HashRing::Options options;
-  options.vnodes = 128;
-  options.seed = 5;
-  HashRing ring(3, options);
-  std::map<uint64_t, int> before;
-  for (uint64_t key = 0; key < 8192; ++key) before[key] = ring.ShardFor(key);
-  ASSERT_TRUE(ring.SetWeight(0, 2));
-  int64_t moved = 0;
-  for (const auto& [key, owner] : before) {
-    const int now = ring.ShardFor(key);
-    if (now != owner) {
-      // Growing shard 0's weight adds only shard-0 points, so keys can
-      // only move toward shard 0.
-      EXPECT_EQ(now, 0) << "key " << key;
-      EXPECT_NE(owner, 0) << "key " << key;
-      ++moved;
-    }
-  }
-  // The remap is bounded by the weight-share change: shard 0 went from
-  // 1/3 to 2/4 of the ring, so roughly 1/6 of the keys move — never more
-  // than the new share.
-  EXPECT_GT(moved, 0);
-  EXPECT_LT(static_cast<double>(moved) / 8192.0, 0.5 + 0.05);
-  // Shrinking back restores the original routing (pure placement).
-  ASSERT_TRUE(ring.SetWeight(0, 1));
-  for (const auto& [key, owner] : before) {
-    ASSERT_EQ(ring.ShardFor(key), owner) << "key " << key;
-  }
 }
 
 TEST(HashRingAddTest, ReplicaSetsAreDistinctAndAlignWithFailover) {
@@ -339,72 +309,6 @@ TEST(FleetImbalanceTest, NoLiveTrafficIsZero) {
   EXPECT_EQ(stats.Imbalance(), 0.0);
 }
 
-// --------------------------------------------------- hedge state machine --
-
-using Leg = HedgeStateMachine::Leg;
-using Action = HedgeStateMachine::Action;
-
-TEST(HedgeStateMachineTest, PrimaryWinsBeforeDelayWithoutFiring) {
-  HedgeStateMachine machine(5.0, false);
-  EXPECT_EQ(machine.Step(0.0, Leg::kPending, Leg::kPending), Action::kWait);
-  EXPECT_EQ(machine.Step(2.0, Leg::kPending, Leg::kPending), Action::kWait);
-  EXPECT_EQ(machine.Step(3.0, Leg::kOk, Leg::kPending),
-            Action::kServePrimary);
-  EXPECT_FALSE(machine.hedge_fired());
-}
-
-TEST(HedgeStateMachineTest, FiresOnceAfterDelayThenServesHedge) {
-  HedgeStateMachine machine(5.0, false);
-  EXPECT_EQ(machine.Step(4.9, Leg::kPending, Leg::kPending), Action::kWait);
-  EXPECT_EQ(machine.Step(5.0, Leg::kPending, Leg::kPending),
-            Action::kFireHedge);
-  EXPECT_TRUE(machine.hedge_fired());
-  // Fires exactly once.
-  EXPECT_EQ(machine.Step(6.0, Leg::kPending, Leg::kPending), Action::kWait);
-  EXPECT_EQ(machine.Step(7.0, Leg::kPending, Leg::kOk), Action::kServeHedge);
-}
-
-TEST(HedgeStateMachineTest, PrimaryWinsTieAfterHedgeFired) {
-  HedgeStateMachine machine(1.0, false);
-  EXPECT_EQ(machine.Step(1.0, Leg::kPending, Leg::kPending),
-            Action::kFireHedge);
-  // Both legs ready: the primary is served, never the hedge.
-  EXPECT_EQ(machine.Step(2.0, Leg::kOk, Leg::kOk), Action::kServePrimary);
-}
-
-TEST(HedgeStateMachineTest, FireImmediatelySkipsTheDelay) {
-  HedgeStateMachine machine(1000.0, true);
-  EXPECT_EQ(machine.Step(0.0, Leg::kPending, Leg::kPending),
-            Action::kFireHedge);
-}
-
-TEST(HedgeStateMachineTest, PrimaryErrorFiresHedgeBeforeTheDelay) {
-  HedgeStateMachine machine(1000.0, false);
-  EXPECT_EQ(machine.Step(0.1, Leg::kError, Leg::kPending),
-            Action::kFireHedge);
-  // An errored leg is never served while the other is pending.
-  EXPECT_EQ(machine.Step(0.2, Leg::kError, Leg::kPending), Action::kWait);
-  EXPECT_EQ(machine.Step(0.3, Leg::kError, Leg::kOk), Action::kServeHedge);
-}
-
-TEST(HedgeStateMachineTest, BothErrorsPropagateThePrimaryError) {
-  HedgeStateMachine machine(0.0, false);
-  EXPECT_EQ(machine.Step(0.0, Leg::kPending, Leg::kPending),
-            Action::kFireHedge);
-  EXPECT_EQ(machine.Step(1.0, Leg::kError, Leg::kPending), Action::kWait);
-  EXPECT_EQ(machine.Step(2.0, Leg::kError, Leg::kError),
-            Action::kServePrimary);
-}
-
-TEST(HedgeStateMachineTest, HedgeErrorStillWaitsForThePrimary) {
-  HedgeStateMachine machine(0.0, false);
-  EXPECT_EQ(machine.Step(0.0, Leg::kPending, Leg::kPending),
-            Action::kFireHedge);
-  EXPECT_EQ(machine.Step(1.0, Leg::kPending, Leg::kError), Action::kWait);
-  EXPECT_EQ(machine.Step(2.0, Leg::kOk, Leg::kError),
-            Action::kServePrimary);
-}
-
 // ----------------------------------------------------------- fleet options --
 
 TEST(FleetOptionsTest, RejectsBadKnobs) {
@@ -413,6 +317,8 @@ TEST(FleetOptionsTest, RejectsBadKnobs) {
   EXPECT_FALSE(options.Validate().ok());
   options = FleetOptions();
   options.vnodes = 0;
+  EXPECT_FALSE(options.Validate().ok());
+  options.vnodes = HashRing::kMaxShardPoints + 1;
   EXPECT_FALSE(options.Validate().ok());
   options = FleetOptions();
   options.error_rate_threshold = 1.5;
@@ -830,6 +736,24 @@ TEST(FleetElasticTest, AddShardRejectsBadWeight) {
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
   EXPECT_FALSE(fleet.value()->AddShard(0).ok());
   EXPECT_FALSE(fleet.value()->AddShard(-1).ok());
+  // 64 vnodes x 2^24 would be 2^30 ring points (16 GiB): refused before
+  // any allocation, and the fleet keeps its one shard.
+  EXPECT_EQ(fleet.value()->AddShard(1 << 24).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fleet.value()->shard_count(), 1);
+
+  // The workload driver refuses such a join up front, before any traffic.
+  auto events = service::GenerateArrivals(graph, QuickWorkload());
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  FleetWorkloadOptions workload;
+  workload.workload = QuickWorkload();
+  workload.join_shards = 1;
+  workload.join_weight = 1 << 24;
+  EXPECT_EQ(DriveFleet(fleet.value().get(), events.value(), workload)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fleet.value()->stats().totals.queries, 0);
 }
 
 TEST(FleetElasticTest, KillThenJoinRestoresCapacity) {
@@ -905,54 +829,58 @@ TEST(FleetReplicationTest, ReplicaSetsMatchTheRingWalk) {
   }
 }
 
-// ------------------------------------------------------------ hedged reads --
-
-TEST(FleetHedgeTest, HedgeAnswersWhenPrimaryBreakersAreOpen) {
+TEST(FleetReplicationTest, FailoverReadsSkipTrippedReplicasInOrder) {
   const graph::Csr graph = MakeRmatGraph(7, 8);
-  FleetOptions options = QuickFleetOptions(2);
-  options.replication = 2;
-  // No service-level CPU fallback: a breaker-dead shard really fails, so
-  // only the hedge can keep these reads OK.
-  options.service.resilience.cpu_fallback = false;
-  auto fleet = FleetFrontDoor::Create(&graph, options);
-  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
-  FleetFrontDoor& door = *fleet.value();
-
-  door.shard_for_test(0)->TripBreakersForTest();
-  ASSERT_TRUE(door.shard_for_test(0)->BreakersOpen());
-
-  // Sources whose primary is the breaker-dead shard: the hedge fires
-  // immediately and the healthy replica answers. No Unavailable leaks.
-  int hedged_sources = 0;
-  for (graph::VertexId v = 0;
-       v < graph.vertex_count() && hedged_sources < 8; ++v) {
-    if (door.OwnerShard(v) != 0) continue;
-    ++hedged_sources;
-    auto result = door.Submit(v).get();
-    ASSERT_TRUE(result.status.ok())
-        << "source " << v << ": " << result.status.ToString();
-    EXPECT_EQ(result.depth_checksum,
-              Fnv1a(baselines::ReferenceDepthsU8(
-                  graph, v, TraversalOptions::kMaxTraversalLevel)));
+  // Every replica but the last in each source's set has its breakers
+  // tripped. No service-level CPU fallback, so a tripped shard really
+  // fails and only the walk down the replica set keeps reads OK; at R = 1
+  // there is nothing to walk to.
+  for (int replication : {1, 2, 3}) {
+    FleetOptions options = QuickFleetOptions(3);
+    options.replication = replication;
+    options.service.resilience.cpu_fallback = false;
+    auto fleet = FleetFrontDoor::Create(&graph, options);
+    ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+    FleetFrontDoor& door = *fleet.value();
+    const int tripped = std::max(1, replication - 1);
+    for (int s = 0; s < tripped; ++s) {
+      door.shard_for_test(s)->TripBreakersForTest();
+    }
+    int probed = 0;
+    for (graph::VertexId v = 0; v < graph.vertex_count() && probed < 8;
+         ++v) {
+      const std::vector<int> replicas = door.ReplicaSet(v);
+      ASSERT_EQ(static_cast<int>(replicas.size()), replication);
+      // Sources whose first `tripped` replicas are exactly the sick shards.
+      if (*std::max_element(replicas.begin(),
+                            replicas.begin() + tripped) >= tripped) {
+        continue;
+      }
+      ++probed;
+      auto result = door.Submit(v).get();
+      if (replication == 1) {
+        EXPECT_EQ(result.status.code(), StatusCode::kUnavailable)
+            << "source " << v << ": " << result.status.ToString();
+        continue;
+      }
+      ASSERT_TRUE(result.status.ok())
+          << "R=" << replication << " source " << v << ": "
+          << result.status.ToString();
+      EXPECT_EQ(result.depth_checksum,
+                Fnv1a(baselines::ReferenceDepthsU8(
+                    graph, v, TraversalOptions::kMaxTraversalLevel)));
+    }
+    EXPECT_EQ(probed, 8) << "R=" << replication;
+    door.Shutdown();
+    EXPECT_EQ(door.stats().replica_mismatches, 0);
   }
-  ASSERT_GT(hedged_sources, 0);
-  door.Shutdown();
-  const FleetStats stats = door.stats();
-  EXPECT_GE(stats.hedges_fired, hedged_sources);
-  EXPECT_GT(stats.hedges_won, 0);
-  EXPECT_EQ(stats.replica_mismatches, 0);
 }
 
-TEST(FleetHedgeTest, ReplicaMismatchQuarantinesBothCaches) {
+TEST(FleetReplicationTest, ReplicaMismatchQuarantinesBothCaches) {
   const graph::Csr graph = MakeRmatGraph(6, 8);
   FleetOptions options = QuickFleetOptions(2);
   options.replication = 2;
   options.service.cache.enabled = true;
-  options.hedge_delay_ms = 0.0;  // always race both replicas
-  // Give the primary's batcher a real deadline so its fresh computation
-  // reliably loses the race against the hedge's instant (poisoned) cache
-  // hit — both legs complete, which is what arms the comparison.
-  options.service.max_delay_ms = 5.0;
   auto fleet = FleetFrontDoor::Create(&graph, options);
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
   FleetFrontDoor& door = *fleet.value();
@@ -961,10 +889,10 @@ TEST(FleetHedgeTest, ReplicaMismatchQuarantinesBothCaches) {
   const std::vector<int> replicas = door.ReplicaSet(source);
   ASSERT_EQ(replicas.size(), 2u);
 
-  // Poison the hedge replica's cache with a self-consistent wrong answer:
-  // the depth bytes are garbage but the checksum matches them, so only
-  // the cross-replica comparison can catch it. (The primary leg computes
-  // fresh; the hedge leg answers instantly from the poisoned entry.)
+  // Poison replica 1's cache with a self-consistent wrong answer: the
+  // depth bytes are garbage but the checksum matches them, so only the
+  // cross-replica comparison in the fan-out can catch it. The primary
+  // computes fresh and serves the true answer.
   service::CachedDepths poisoned;
   poisoned.depths.assign(static_cast<size_t>(graph.vertex_count()), 1);
   poisoned.checksum = Fnv1a(poisoned.depths);
@@ -973,11 +901,12 @@ TEST(FleetHedgeTest, ReplicaMismatchQuarantinesBothCaches) {
 
   auto result = door.Submit(source).get();
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  door.Shutdown();  // drain the hedge wrapper so the accounting is final
+  EXPECT_NE(result.depth_checksum, poisoned.checksum);
+  door.Shutdown();  // drain the read wrapper so the accounting is final
 
   const FleetStats stats = door.stats();
-  EXPECT_GE(stats.hedges_fired, 1);
-  EXPECT_GE(stats.replica_mismatches, 1);
+  EXPECT_EQ(stats.replica_mismatches, 1);
+  EXPECT_EQ(stats.replica_cache_writes, 0);
   // Both replicas' entries are quarantined: the fleet cannot adjudicate
   // two self-consistent answers, so the source recomputes fresh next time.
   EXPECT_FALSE(door.shard_for_test(replicas[0])->PeekCache(source)
@@ -986,12 +915,11 @@ TEST(FleetHedgeTest, ReplicaMismatchQuarantinesBothCaches) {
                    .has_value());
 }
 
-TEST(FleetHedgeTest, OkReadsFanTheirCacheEntryOutToReplicas) {
+TEST(FleetReplicationTest, OkReadsFanTheirCacheEntryOutToReplicas) {
   const graph::Csr graph = MakeRmatGraph(6, 8);
   FleetOptions options = QuickFleetOptions(2);
   options.replication = 2;
   options.service.cache.enabled = true;
-  options.hedge_delay_ms = 0.0;  // always race both replicas
   auto fleet = FleetFrontDoor::Create(&graph, options);
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
   FleetFrontDoor& door = *fleet.value();
@@ -999,76 +927,27 @@ TEST(FleetHedgeTest, OkReadsFanTheirCacheEntryOutToReplicas) {
   const graph::VertexId source = 2;
   const std::vector<int> replicas = door.ReplicaSet(source);
   ASSERT_EQ(replicas.size(), 2u);
+  ASSERT_FALSE(door.shard_for_test(replicas[1])->PeekCache(source)
+                   .has_value());
   auto result = door.Submit(source).get();
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   door.Shutdown();  // drain the wrapper: fan-out happens after serving
 
-  // Both replicas now hold the answer, byte-identical.
+  // Only the primary computed; the replica now holds the same answer,
+  // byte-identical.
+  EXPECT_EQ(door.shard_for_test(replicas[1])->stats().queries, 0);
   const auto primary_entry =
       door.shard_for_test(replicas[0])->PeekCache(source);
-  const auto hedge_entry =
+  const auto replica_entry =
       door.shard_for_test(replicas[1])->PeekCache(source);
   ASSERT_TRUE(primary_entry.has_value());
-  ASSERT_TRUE(hedge_entry.has_value());
-  EXPECT_EQ(primary_entry->checksum, hedge_entry->checksum);
-  EXPECT_EQ(primary_entry->depths, hedge_entry->depths);
-  EXPECT_GT(door.stats().replica_cache_writes, 0);
-}
-
-// ------------------------------------------------------------- rebalancing --
-
-TEST(FleetRebalanceTest, SlowShardLosesWeightToTheFastOne) {
-  const graph::Csr graph = MakeRmatGraph(6, 8);
-  FleetOptions options = QuickFleetOptions(2);
-  options.min_health_samples = 4;
-  auto fleet = FleetFrontDoor::Create(&graph, options);
-  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
-  FleetFrontDoor& door = *fleet.value();
-
-  // Shard 0's tail is 100x shard 1's: well outside the hysteresis band.
-  for (int i = 0; i < 8; ++i) {
-    door.shard_for_test(0)->RecordLiveSampleForTest(100.0, true);
-    door.shard_for_test(1)->RecordLiveSampleForTest(1.0, true);
-  }
-  EXPECT_GE(door.Rebalance(), 1);
-  // Shard 0 is already at the weight floor (1); the fast shard grows.
-  EXPECT_EQ(door.ShardWeight(0), 1);
-  EXPECT_EQ(door.ShardWeight(1), 2);
+  ASSERT_TRUE(replica_entry.has_value());
+  EXPECT_EQ(primary_entry->checksum, result.depth_checksum);
+  EXPECT_EQ(primary_entry->checksum, replica_entry->checksum);
+  EXPECT_EQ(primary_entry->depths, replica_entry->depths);
   const FleetStats stats = door.stats();
-  EXPECT_EQ(stats.rebalance_runs, 1);
-  EXPECT_GE(stats.weight_changes, 1);
-  EXPECT_NEAR(stats.weight_share[1], 2.0 / 3.0, 1e-9);
-}
-
-TEST(FleetRebalanceTest, BalancedFleetKeepsItsWeights) {
-  const graph::Csr graph = MakeRmatGraph(6, 8);
-  FleetOptions options = QuickFleetOptions(3);
-  options.min_health_samples = 4;
-  auto fleet = FleetFrontDoor::Create(&graph, options);
-  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
-  FleetFrontDoor& door = *fleet.value();
-  for (int i = 0; i < 8; ++i) {
-    for (int s = 0; s < 3; ++s) {
-      door.shard_for_test(s)->RecordLiveSampleForTest(5.0, true);
-    }
-  }
-  EXPECT_EQ(door.Rebalance(), 0);
-  for (int s = 0; s < 3; ++s) EXPECT_EQ(door.ShardWeight(s), 1);
-  EXPECT_EQ(door.stats().weight_changes, 0);
-}
-
-TEST(FleetRebalanceTest, ShardsWithoutSamplesAreLeftAlone) {
-  const graph::Csr graph = MakeRmatGraph(6, 8);
-  FleetOptions options = QuickFleetOptions(2);
-  options.min_health_samples = 16;
-  auto fleet = FleetFrontDoor::Create(&graph, options);
-  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
-  // One noisy sample each — far below min_health_samples.
-  fleet.value()->shard_for_test(0)->RecordLiveSampleForTest(100.0, true);
-  fleet.value()->shard_for_test(1)->RecordLiveSampleForTest(1.0, true);
-  EXPECT_EQ(fleet.value()->Rebalance(), 0);
-  EXPECT_EQ(fleet.value()->ShardWeight(0), 1);
-  EXPECT_EQ(fleet.value()->ShardWeight(1), 1);
+  EXPECT_EQ(stats.replica_cache_writes, 1);
+  EXPECT_EQ(stats.replica_mismatches, 0);
 }
 
 TEST(FleetStatsTest, ImbalanceNormalizesByRingWeightShare) {
@@ -1143,7 +1022,7 @@ TEST(FleetChaosTest, KillThenJoinEpisodeStaysAvailableAndBitIdentical) {
   EXPECT_GE(report.shard_rows[3].weight, 1);   // joiner: on the ring
   EXPECT_GT(report.shard_rows[3].completed, 0);
 
-  // The v2 document (elasticity section, per-row weights) validates.
+  // The v3 document (elasticity section, per-row weights) validates.
   std::ostringstream os;
   report.WriteJson(os);
   auto doc = obs::ParseJson(os.str());

@@ -722,14 +722,9 @@ FleetReport GoldenFleetReport() {
   report.replication = 2;
   report.shard_joins = 1;
   report.warmup_entries = 33;
-  report.hedges_fired = 9;
-  report.hedges_won = 4;
-  report.hedges_cancelled = 5;
   report.replica_mismatches = 0;
   report.replica_cache_writes = 71;
   report.recoveries = 1;
-  report.rebalance_runs = 6;
-  report.weight_changes = 2;
   for (int s = 0; s < 2; ++s) {
     FleetReportShard row;
     row.shard = s;
@@ -1028,6 +1023,16 @@ TEST(ObsSchemaDrift, VersionOneDocumentsWithoutLaterMembersValidate) {
   }
   const Status fleet_status = ValidateFleetReport(fleet_v1);
   EXPECT_TRUE(fleet_status.ok()) << fleet_status.ToString();
+}
+
+// Members a later schema version dropped are ignored in documents that
+// still carry them: a v2 fleet report with its hedging and rebalancing
+// counters validates.
+TEST(ObsSchemaDrift, VersionTwoFleetReportStillValidates) {
+  auto fleet_v2 = ParseJson(kFleetReportV2Golden);
+  ASSERT_TRUE(fleet_v2.ok()) << fleet_v2.status().ToString();
+  const Status status = ValidateFleetReport(fleet_v2.value());
+  EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
 // ------------------------------------------------ engine integration --

@@ -18,10 +18,13 @@ With ``--fleet-binary`` it applies the same split to ``fleet_bench`` and
 the committed ``BENCH_fleet.json``: the baseline checksum and query count
 are exact (the fleet's answers are a deterministic function of the seeded
 workload), every shard point and replication row must keep
-``checksum_match`` true, the failover and elastic sections must keep zero
+``checksum_match`` true, every replication row must keep zero
+``replica_mismatches`` (R = 2 reads fail over in replica order and fan
+their cache entry out; the bench itself aborts if R = 2 made no replica
+cache writes), the failover and elastic sections must keep zero
 unanswered futures and zero mismatches (and the elastic episode must have
-actually joined a shard), while the per-point p50/p99 latencies are
-banded. ``--elastic-only`` runs the bench with
+actually joined a shard), while the per-point and per-row p50/p99
+latencies are banded. ``--elastic-only`` runs the bench with
 ``IBFS_FLEET_SECTIONS=elastic`` and gates only the elastic + replication
 sections — the fast availability smoke wired into ctest as
 ``fleet_elastic_smoke``.

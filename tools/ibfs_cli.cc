@@ -115,9 +115,10 @@ int Usage() {
                "            [--shard-down I [--kill-at-s T]]\n"
                "            [--join-shards J [--join-at-s T] "
                "[--join-weight W]]\n"
-               "            [--replication R [--hedge-delay-ms MS]]\n"
-               "            [--rebalance-s T]\n"
-               "            (N-shard scatter-gather fleet; verifies every "
+               "            [--replication R]\n"
+               "            (N-shard scatter-gather fleet; at R > 1 a failed "
+               "read\n"
+               "            fails over down the replica set; verifies every "
                "answer\n"
                "            against the CPU baseline, writes an "
                "ibfs.fleet_report\n"
@@ -841,8 +842,6 @@ int CmdFleet(const Flags& flags) {
   fleet_options.cpu_fallback = !flags.GetBool("no-cpu-fallback");
   fleet_options.replication =
       static_cast<int>(flags.GetInt("replication", 1));
-  fleet_options.hedge_delay_ms = flags.GetDouble("hedge-delay-ms", -1.0);
-  fleet_options.rebalance_interval_s = flags.GetDouble("rebalance-s", 0.0);
   fleet_options.service.observer = session.MakeObserver();
 
   auto run = fleet::RunFleetChaos(GraphLabel(flags), graph.value(),
@@ -876,27 +875,14 @@ int CmdFleet(const Flags& flags) {
               static_cast<int>(report.degraded),
               static_cast<int>(report.down),
               report.killed_shard >= 0 ? " (one killed mid-run)" : "");
-  if (report.joined_shards > 0 || report.replication > 1 ||
-      report.rebalance_runs > 0) {
+  if (report.joined_shards > 0 || report.replication > 1) {
     std::printf("elasticity:      %lld joins (%lld warmup entries), "
-                "R=%lld, %lld recoveries\n",
+                "R=%lld, %lld recoveries, %lld replica mismatches\n",
                 static_cast<long long>(report.shard_joins),
                 static_cast<long long>(report.warmup_entries),
                 static_cast<long long>(report.replication),
-                static_cast<long long>(report.recoveries));
-  }
-  if (report.replication > 1) {
-    std::printf("hedging:         %lld fired, %lld won, %lld cancelled, "
-                "%lld replica mismatches\n",
-                static_cast<long long>(report.hedges_fired),
-                static_cast<long long>(report.hedges_won),
-                static_cast<long long>(report.hedges_cancelled),
+                static_cast<long long>(report.recoveries),
                 static_cast<long long>(report.replica_mismatches));
-  }
-  if (report.rebalance_runs > 0) {
-    std::printf("rebalancing:     %lld runs, %lld weight changes\n",
-                static_cast<long long>(report.rebalance_runs),
-                static_cast<long long>(report.weight_changes));
   }
   std::printf("verification:    %lld checksums compared, %lld mismatches, "
               "%lld unanswered\n",
