@@ -1,6 +1,9 @@
 #include "service/cache.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <type_traits>
 
 #include "util/checksum.h"
 #include "util/logging.h"
@@ -8,12 +11,140 @@
 namespace ibfs::service {
 namespace {
 
-// The residency seal: every stored field of an entry, folded word-wise.
-uint64_t Seal(const CachedDepths& value) {
-  uint64_t seal = Fnv1aWords(value.depths);
-  seal = Fnv1aFoldWord(seal, value.depths.size());
-  seal = Fnv1aFoldWord(seal, value.checksum);
-  return Fnv1aFoldWord(seal, static_cast<uint64_t>(value.reached));
+// Packing reads and writes depth bytes one 64-bit word (8 vertices) at a
+// time. Word b of a plane covers vertices [64b, 64b + 64): vertex
+// 64b + 8j + k sits at bit 8k + j, the 8x8 bit transpose of the block's
+// eight depth words. So bit p of all 8 bytes of depth word j moves to or
+// from its plane word with one rotate and one mask.
+constexpr uint64_t kByteLsbs = 0x0101010101010101ULL;
+constexpr uint64_t kByteMsbs = 0x8080808080808080ULL;
+constexpr size_t kBlock = 64;
+
+size_t PlaneWords(size_t length) { return (length + kBlock - 1) / kBlock; }
+
+int PlaneBit(size_t vertex) {
+  const size_t r = vertex % kBlock;
+  return static_cast<int>(r % 8 * 8 + r / 8);
+}
+
+uint64_t LoadWord(const uint8_t* bytes) {
+  uint64_t word = 0;
+  std::memcpy(&word, bytes, sizeof(word));
+  return word;
+}
+
+// The plane count for a depth vector: bit_width(max visited depth + 1).
+// Adding 1 to every byte (mod 256) sends the unvisited 0xff to 0, and the
+// OR of the incremented bytes has the bit width of their maximum.
+int PlaneCount(std::span<const uint8_t> depths) {
+  auto increment = [](uint64_t word) {
+    return ((word & ~kByteMsbs) + kByteLsbs) ^ (word & kByteMsbs);
+  };
+  // Four accumulators, so the ORs do not wait on one another.
+  uint64_t any[4] = {};
+  size_t i = 0;
+  for (; i + 32 <= depths.size(); i += 32) {
+    for (int k = 0; k < 4; ++k) {
+      any[k] |= increment(LoadWord(&depths[i + 8 * k]));
+    }
+  }
+  for (; i + 8 <= depths.size(); i += 8) {
+    any[0] |= increment(LoadWord(&depths[i]));
+  }
+  for (; i < depths.size(); ++i) any[0] |= static_cast<uint8_t>(depths[i] + 1);
+  const uint64_t all = any[0] | any[1] | any[2] | any[3];
+  uint8_t folded = 0;
+  for (int k = 0; k < 8; ++k) folded |= static_cast<uint8_t>(all >> (8 * k));
+  return std::max(1, static_cast<int>(std::bit_width(folded)));
+}
+
+// Packs the 64 depth bytes at `in` into word `b` of each of W planes. A
+// byte's low W bits are its code: a visited depth is below 2^W - 1, and the
+// unvisited 0xff has all W bits set. The loops over j are unrolled so that
+// every rotate count and mask is a constant (about twice as fast as the
+// rolled loop).
+template <int W>
+void PackBlock(const uint8_t* in, uint64_t* planes, size_t words, size_t b) {
+  uint64_t block[W] = {};
+#pragma GCC unroll 8
+  for (int j = 0; j < 8; ++j) {
+    const uint64_t word = LoadWord(in + 8 * j);
+    for (int p = 0; p < W; ++p) {
+      block[p] |= std::rotl(word, j - p) & (kByteLsbs << j);
+    }
+  }
+  for (int p = 0; p < W; ++p) planes[p * words + b] = block[p];
+}
+
+// Unpacks word `b` of each of W planes into the 64 depth bytes at `out`.
+// A vertex whose W plane bits are all set is unvisited and unpacks to 0xff.
+template <int W>
+void UnpackBlock(const uint64_t* planes, size_t words, size_t b,
+                 uint8_t* out) {
+  uint64_t block[W] = {};
+  uint64_t unvisited = ~uint64_t{0};
+  for (int p = 0; p < W; ++p) {
+    block[p] = planes[p * words + b];
+    unvisited &= block[p];
+  }
+#pragma GCC unroll 8
+  for (int j = 0; j < 8; ++j) {
+    uint64_t word = (std::rotr(unvisited, j) & kByteLsbs) * 0xff;
+    for (int p = 0; p < W; ++p) {
+      word |= std::rotr(block[p], j - p) & (kByteLsbs << p);
+    }
+    std::memcpy(out + 8 * j, &word, sizeof(word));
+  }
+}
+
+// Calls f(std::integral_constant<int, width>{}) for width in [1, 8], so the
+// per-plane loops run over a compile-time plane count and unroll.
+template <int W = 1, typename F>
+void WithWidth(int width, F&& f) {
+  if constexpr (W == 8) {
+    f(std::integral_constant<int, 8>{});
+  } else if (width == W) {
+    f(std::integral_constant<int, W>{});
+  } else {
+    WithWidth<W + 1>(width, f);
+  }
+}
+
+// A trailing partial block goes through a zero-padded buffer; padding
+// packs to code 0 and is never unpacked.
+void Pack(std::span<const uint8_t> depths, int width,
+          std::vector<uint64_t>& planes) {
+  const size_t length = depths.size();
+  const size_t words = PlaneWords(length);
+  const size_t full = length / kBlock;
+  planes.resize(words * width);
+  WithWidth(width, [&](auto w) {
+    for (size_t b = 0; b < full; ++b) {
+      PackBlock<w>(&depths[b * kBlock], planes.data(), words, b);
+    }
+    if (full < words) {
+      uint8_t tail[kBlock] = {};
+      std::memcpy(tail, &depths[full * kBlock], length - full * kBlock);
+      PackBlock<w>(tail, planes.data(), words, full);
+    }
+  });
+}
+
+void Unpack(std::span<const uint64_t> planes, int width, size_t length,
+            std::vector<uint8_t>& depths) {
+  const size_t words = PlaneWords(length);
+  const size_t full = length / kBlock;
+  depths.resize(length);
+  WithWidth(width, [&](auto w) {
+    for (size_t b = 0; b < full; ++b) {
+      UnpackBlock<w>(planes.data(), words, b, &depths[b * kBlock]);
+    }
+    if (full < words) {
+      uint8_t tail[kBlock] = {};
+      UnpackBlock<w>(planes.data(), words, full, tail);
+      std::memcpy(&depths[full * kBlock], tail, length - full * kBlock);
+    }
+  });
 }
 
 }  // namespace
@@ -51,66 +182,94 @@ ResultCache::Shard& ResultCache::ShardFor(graph::VertexId source) {
   return *shards_[(mixed >> 32) % shards_.size()];
 }
 
-int64_t ResultCache::EntryBytes(const CachedDepths& value) {
-  // Payload plus a flat estimate of list/map node overhead; exactness does
-  // not matter, only that the budget tracks resident memory to first order.
+int64_t ResultCache::EntryBytes(const Entry& entry) {
+  // Packed planes plus a flat estimate of list/map node overhead; exactness
+  // does not matter, only that the budget tracks resident memory to first
+  // order.
   constexpr int64_t kNodeOverhead = 96;
-  return static_cast<int64_t>(value.depths.size()) + kNodeOverhead;
+  return static_cast<int64_t>(entry.planes.size() * sizeof(uint64_t)) +
+         kNodeOverhead;
+}
+
+uint64_t ResultCache::Seal(const Entry& entry) {
+  // Every stored field of the answer, folded word-wise.
+  uint64_t seal = Fnv1aWords(std::span<const uint8_t>(
+      reinterpret_cast<const uint8_t*>(entry.planes.data()),
+      entry.planes.size() * sizeof(uint64_t)));
+  seal = Fnv1aFoldWord(seal, static_cast<uint64_t>(entry.width));
+  seal = Fnv1aFoldWord(seal, entry.length);
+  seal = Fnv1aFoldWord(seal, entry.checksum);
+  return Fnv1aFoldWord(seal, static_cast<uint64_t>(entry.reached));
 }
 
 void ResultCache::Drop(Shard& shard, IndexIt it) {
-  shard.bytes -= EntryBytes(it->second->value);
+  shard.bytes -= EntryBytes(*it->second);
   shard.lru.erase(it->second);
   shard.index.erase(it);
 }
 
-std::optional<CachedDepths> ResultCache::Get(graph::VertexId source) {
-  Shard& shard = ShardFor(source);
-  std::lock_guard<std::mutex> lock(shard.mu);
+ResultCache::IndexIt ResultCache::Find(Shard& shard, graph::VertexId source) {
   auto it = shard.index.find(source);
-  if (it == shard.index.end()) {
-    ++shard.stats.misses;
-    return std::nullopt;
-  }
-  Entry& entry = *it->second;
+  if (it == shard.index.end()) return it;
+  const Entry& entry = *it->second;
   if (entry.fingerprint != graph_fingerprint_) {
-    // Stale graph: evict silently and miss.
+    // Stale graph: evict silently.
     Drop(shard, it);
-    ++shard.stats.misses;
-    return std::nullopt;
+    return shard.index.end();
   }
-  if (Seal(entry.value) != entry.seal) {
+  if (Seal(entry) != entry.seal) {
     // Stored fields no longer match the seal taken at insert: quarantine.
     // Serving a corrupted answer would poison every future hit, so the
     // entry is dropped and the query re-executes.
     ++shard.stats.quarantined;
-    ++shard.stats.misses;
     Drop(shard, it);
     IBFS_LOG(Warning) << "result cache quarantined corrupted entry for source "
                       << source;
+    return shard.index.end();
+  }
+  return it;
+}
+
+std::optional<CachedDepths> ResultCache::Get(graph::VertexId source,
+                                             bool with_depths) {
+  Shard& shard = ShardFor(source);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  const IndexIt it = Find(shard, source);
+  if (it == shard.index.end()) {
+    ++shard.stats.misses;
     return std::nullopt;
   }
   ++shard.stats.hits;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return entry.value;
+  const Entry& entry = *it->second;
+  CachedDepths hit{{}, entry.checksum, entry.reached};
+  if (with_depths) Unpack(entry.planes, entry.width, entry.length, hit.depths);
+  return hit;
 }
 
-void ResultCache::Put(graph::VertexId source, CachedDepths value) {
-  const int64_t bytes = EntryBytes(value);
-  const uint64_t seal = Seal(value);
+void ResultCache::Put(graph::VertexId source, std::span<const uint8_t> depths,
+                      uint64_t checksum, int64_t reached) {
+  Entry entry{.source = source,
+              .fingerprint = graph_fingerprint_,
+              .width = PlaneCount(depths),
+              .length = depths.size(),
+              .checksum = checksum,
+              .reached = reached};
+  Pack(depths, entry.width, entry.planes);
+  entry.seal = Seal(entry);
+  const int64_t bytes = EntryBytes(entry);
   Shard& shard = ShardFor(source);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(source);
   if (it != shard.index.end()) Drop(shard, it);
   if (bytes > shard_budget_bytes_) return;  // larger than a whole shard
-  shard.lru.push_front(
-      Entry{source, graph_fingerprint_, seal, std::move(value)});
+  shard.lru.push_front(std::move(entry));
   shard.index.emplace(source, shard.lru.begin());
   shard.bytes += bytes;
   ++shard.stats.insertions;
   while (shard.bytes > shard_budget_bytes_ && shard.lru.size() > 1) {
     Entry& victim = shard.lru.back();
-    shard.bytes -= EntryBytes(victim.value);
+    shard.bytes -= EntryBytes(victim);
     shard.index.erase(victim.source);
     shard.lru.pop_back();
     ++shard.stats.evictions;
@@ -120,16 +279,12 @@ void ResultCache::Put(graph::VertexId source, CachedDepths value) {
 std::optional<CachedDepths> ResultCache::Peek(graph::VertexId source) {
   Shard& shard = ShardFor(source);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(source);
+  const IndexIt it = Find(shard, source);
   if (it == shard.index.end()) return std::nullopt;
-  Entry& entry = *it->second;
-  if (entry.fingerprint != graph_fingerprint_ ||
-      Seal(entry.value) != entry.seal) {
-    if (entry.fingerprint == graph_fingerprint_) ++shard.stats.quarantined;
-    Drop(shard, it);
-    return std::nullopt;
-  }
-  return entry.value;
+  const Entry& entry = *it->second;
+  CachedDepths value{{}, entry.checksum, entry.reached};
+  Unpack(entry.planes, entry.width, entry.length, value.depths);
+  return value;
 }
 
 bool ResultCache::Erase(graph::VertexId source) {
@@ -184,27 +339,41 @@ int64_t ResultCache::bytes_resident() const {
 }
 
 bool ResultCache::CorruptEntryForTest(graph::VertexId source, Field field,
-                                      std::optional<size_t> depth_index) {
+                                      std::optional<size_t> index, int plane) {
   Shard& shard = ShardFor(source);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(source);
   if (it == shard.index.end()) return false;
-  CachedDepths& value = it->second->value;
-  switch (field) {
-    case Field::kDepths: {
-      const size_t index = depth_index.value_or(value.depths.size() / 2);
-      if (index >= value.depths.size()) return false;
-      value.depths[index] ^= 0x40;
-      return true;
+  Entry& entry = *it->second;
+  if (field == Field::kDepths) {
+    const size_t vertex = index.value_or(entry.length / 2);
+    if (vertex >= entry.length || plane < 0 || plane >= entry.width) {
+      return false;
     }
-    case Field::kChecksum:
-      value.checksum ^= 0x40;
-      return true;
-    case Field::kReached:
-      value.reached ^= 0x40;
-      return true;
+    entry.planes[plane * PlaneWords(entry.length) + vertex / kBlock] ^=
+        uint64_t{1} << PlaneBit(vertex);
+    return true;
   }
-  return false;
+  const size_t bit = index.value_or(6);
+  if (bit >= (field == Field::kWidth ? 31 : 64)) return false;
+  const uint64_t flip = uint64_t{1} << bit;
+  switch (field) {
+    case Field::kChecksum:
+      entry.checksum ^= flip;
+      break;
+    case Field::kReached:
+      entry.reached ^= static_cast<int64_t>(flip);
+      break;
+    case Field::kWidth:
+      entry.width ^= static_cast<int>(flip);
+      break;
+    case Field::kLength:
+      entry.length ^= flip;
+      break;
+    case Field::kDepths:
+      break;  // handled above
+  }
+  return true;
 }
 
 PlanCache::PlanCache(uint64_t config_fingerprint, int capacity)

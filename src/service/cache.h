@@ -65,7 +65,8 @@ struct CacheStats {
 /// One cached BFS answer: the depth vector, its FNV-1a answer checksum (the
 /// value QueryResult::depth_checksum reports, computed once by the writer),
 /// and the reached-vertex count so hits can fill QueryResult without
-/// rescanning depths.
+/// rescanning depths. This is the exchange type; the cache stores depths
+/// bit-packed (see ResultCache).
 struct CachedDepths {
   std::vector<uint8_t> depths;
   uint64_t checksum = 0;
@@ -79,14 +80,24 @@ struct CachedDepths {
 /// lives in the stored key so Get can reject stale entries after a graph
 /// swap that skipped Invalidate.
 ///
+/// Layout: an entry stores its depth vector as `w` bit-planes, the status
+/// array's bit-slicing applied to answers. `w = bit_width(max depth + 1)`
+/// over the visited vertices (1 when none is visited), vertex i's code is
+/// its depth, and the code 2^w - 1 means unvisited. Plane p holds bit p of
+/// every vertex's code, one 64-vertex word after another. w = 8 spans the
+/// whole byte range, so every depth vector has an exact packed form. The
+/// byte budget counts the packed bytes: an answer of depth at most 6 costs
+/// 3 bits per vertex instead of 8.
+///
 /// Integrity: Put seals each entry with an in-process word-wise digest
-/// (Fnv1aWords over the depth bytes, then their length, the answer checksum
-/// and the reached count). Get and Peek recompute the seal over every stored
-/// byte before serving and compare it to the one taken at insert. A mismatch
-/// (bit rot, a torn write, a buggy mutation) quarantines the entry — it is
-/// erased, counted, and the lookup reports a miss — so a corrupted cache can
-/// cost latency but never wrong answers. The seal is never returned or
-/// compared outside this cache; the answer checksum travels unchanged.
+/// (Fnv1aWords over the plane words, then the width, the vector length, the
+/// answer checksum and the reached count). Every read recomputes the seal
+/// over every stored byte before serving and compares it to the one taken
+/// at insert. A mismatch (bit rot, a torn write, a buggy mutation)
+/// quarantines the entry — it is erased, counted, and the lookup reports a
+/// miss — so a corrupted cache can cost latency but never wrong answers.
+/// The seal is never returned or compared outside this cache; the answer
+/// checksum travels unchanged.
 ///
 /// Thread safety: all methods are safe to call concurrently; each shard has
 /// its own mutex and LRU list.
@@ -100,18 +111,25 @@ class ResultCache {
 
   /// Returns the cached answer for `source`, or nullopt on miss, stale
   /// fingerprint, or seal mismatch (the latter also erases the entry and
-  /// bumps `quarantined`). A hit refreshes LRU recency.
-  std::optional<CachedDepths> Get(graph::VertexId source);
+  /// bumps `quarantined`). A hit refreshes LRU recency. Without
+  /// `with_depths` a hit carries only the checksum and reached count: the
+  /// planes are sealed but not unpacked.
+  std::optional<CachedDepths> Get(graph::VertexId source,
+                                  bool with_depths = true);
 
-  /// Inserts (or refreshes) the answer for `source`, then evicts
+  /// Packs and inserts (or refreshes) the answer for `source`, then evicts
   /// least-recently-used entries until the shard fits its byte budget.
   /// Entries larger than a whole shard budget are not admitted.
-  void Put(graph::VertexId source, CachedDepths value);
+  void Put(graph::VertexId source, std::span<const uint8_t> depths,
+           uint64_t checksum, int64_t reached);
+  void Put(graph::VertexId source, const CachedDepths& value) {
+    Put(source, value.depths, value.checksum, value.reached);
+  }
 
   /// Read-only lookup for replication fan-out and join warmup: returns the
-  /// entry without touching LRU recency or the hit/miss counters, but still
-  /// re-verifies the seal (a corrupted entry is quarantined exactly as in
-  /// Get, so replicas never receive poisoned bytes).
+  /// unpacked entry without touching LRU recency or the hit/miss counters,
+  /// but still re-verifies the seal (a corrupted entry is quarantined
+  /// exactly as in Get, so replicas never receive poisoned bytes).
   std::optional<CachedDepths> Peek(graph::VertexId source);
 
   /// Drops one entry (replica checksum-mismatch quarantine). Returns true
@@ -130,23 +148,31 @@ class ResultCache {
   int64_t bytes_resident() const;
 
   /// Which stored field CorruptEntryForTest damages.
-  enum class Field { kDepths, kChecksum, kReached };
+  enum class Field { kDepths, kChecksum, kReached, kWidth, kLength };
 
-  /// Test hook: flips one bit of the stored entry for `source` (if present)
-  /// without resealing it, so the next Get or Peek exercises the quarantine
-  /// path. kDepths flips byte `depth_index` of the depth vector (default:
-  /// the middle byte); kChecksum and kReached flip a bit of that field.
-  /// Returns true if an entry was corrupted.
+  /// Test hook: flips one stored bit of the entry for `source` (if
+  /// present) without resealing it, so the next read exercises the
+  /// quarantine path. kDepths flips vertex `index`'s bit (default: the
+  /// middle vertex) in plane `plane`; the other fields get bit `index`
+  /// (default 6) flipped. Returns true if an entry was corrupted (false
+  /// also for a vertex, plane or bit it does not have).
   bool CorruptEntryForTest(graph::VertexId source, Field field = Field::kDepths,
-                           std::optional<size_t> depth_index = std::nullopt);
+                           std::optional<size_t> index = std::nullopt,
+                           int plane = 0);
 
  private:
   struct Entry {
     graph::VertexId source = 0;
     uint64_t fingerprint = 0;
-    /// Seal of `value`, taken at Put and re-verified on every read.
+    /// Seal of every field below, taken at Put and re-verified on every
+    /// read.
     uint64_t seal = 0;
-    CachedDepths value;
+    /// `width` planes of ceil(length / 64) words each, plane after plane.
+    std::vector<uint64_t> planes = {};
+    int width = 0;
+    size_t length = 0;
+    uint64_t checksum = 0;
+    int64_t reached = 0;
   };
   struct Shard {
     mutable std::mutex mu;
@@ -161,7 +187,13 @@ class ResultCache {
       std::unordered_map<graph::VertexId, std::list<Entry>::iterator>::iterator;
 
   Shard& ShardFor(graph::VertexId source);
-  static int64_t EntryBytes(const CachedDepths& value);
+  static int64_t EntryBytes(const Entry& entry);
+  static uint64_t Seal(const Entry& entry);
+  /// Looks `source` up for a read: returns its index slot if present,
+  /// fresh and intact; otherwise drops a stale or corrupted entry (counting
+  /// the latter as quarantined) and returns `shard.index.end()`. Caller
+  /// holds `shard.mu`.
+  IndexIt Find(Shard& shard, graph::VertexId source);
   /// Unlinks one resident entry and returns its bytes to the shard budget.
   static void Drop(Shard& shard, IndexIt it);
 

@@ -204,10 +204,16 @@ void BfsService::PublishLiveTelemetry() {
     HandleSloTransition(options_.slo->Evaluate(now_s), now_s);
     options_.slo->PublishTo(metrics, now_s);
   }
-  if (metrics != nullptr && result_cache_ != nullptr) {
-    metrics->GetGauge("cache.hit_ratio")
-        ->Set(result_cache_->stats().HitRatio());
-  }
+  PublishHitRatio();
+}
+
+void BfsService::PublishHitRatio() {
+  if (lookup_metrics_.hit_ratio == nullptr) return;
+  const int64_t hits = lookup_hits_.load(std::memory_order_relaxed);
+  const int64_t total =
+      hits + lookup_misses_.load(std::memory_order_relaxed);
+  lookup_metrics_.hit_ratio->Set(
+      total > 0 ? static_cast<double>(hits) / total : 0.0);
 }
 
 double BfsService::LiveErrorRatio() const {
@@ -284,6 +290,15 @@ Result<std::unique_ptr<BfsService>> BfsService::Create(
     if (svc->options_.observer.tracing()) {
       svc->options_.observer.tracer->SetThreadName(kServicePid, 0, "cache");
     }
+    if (obs::MetricsRegistry* metrics = svc->options_.observer.metrics) {
+      svc->lookup_metrics_ = {
+          .hits = metrics->GetCounter("cache.hits"),
+          .misses = metrics->GetCounter("cache.misses"),
+          .completed = metrics->GetCounter("service.completed"),
+          .total_ms =
+              metrics->GetHistogram("service.total_ms", LatencyBoundsMs()),
+          .hit_ratio = metrics->GetGauge("cache.hit_ratio")};
+    }
   }
   svc->executor_ = std::make_unique<ThreadPool>(threads);
   svc->batcher_ = std::thread([s = svc.get()] { s->BatcherLoop(); });
@@ -328,15 +343,15 @@ std::future<QueryResult> BfsService::Submit(graph::VertexId source) {
       }
     }
     const auto submitted = Clock::now();
-    std::optional<CachedDepths> hit = result_cache_->Get(source);
-    obs::MetricsRegistry* metrics = options_.observer.metrics;
+    std::optional<CachedDepths> hit =
+        result_cache_->Get(source, options_.keep_depths);
     if (hit.has_value()) {
       QueryResult result;
       result.source = source;
       result.cached = true;
       result.depth_checksum = hit->checksum;
       result.reached = hit->reached;
-      if (options_.keep_depths) result.depths = std::move(hit->depths);
+      result.depths = std::move(hit->depths);  // empty unless keep_depths
       {
         std::lock_guard<std::mutex> lock(mu_);
         result.query_id = next_query_id_++;
@@ -347,11 +362,11 @@ std::future<QueryResult> BfsService::Submit(graph::VertexId source) {
         ++stats_.cache_hits;
         ++stats_.completed;
       }
-      if (metrics != nullptr) {
-        metrics->GetCounter("cache.hits")->Increment();
-        metrics->GetCounter("service.completed")->Increment();
-        metrics->GetHistogram("service.total_ms", LatencyBoundsMs())
-            ->Observe(result.latency.total_ms);
+      lookup_hits_.fetch_add(1, std::memory_order_relaxed);
+      if (lookup_metrics_.hits != nullptr) {
+        lookup_metrics_.hits->Increment();
+        lookup_metrics_.completed->Increment();
+        lookup_metrics_.total_ms->Observe(result.latency.total_ms);
       }
       if (options_.observer.tracing()) {
         // Cache activity lands on tid 0 of the service pid (batch tracks
@@ -361,19 +376,14 @@ std::future<QueryResult> BfsService::Submit(graph::VertexId source) {
             SinceStartUs(submitted),
             {obs::Arg("source", static_cast<int64_t>(source))});
       }
-      if (metrics != nullptr) {
-        metrics->GetGauge("cache.hit_ratio")
-            ->Set(result_cache_->stats().HitRatio());
-      }
+      PublishHitRatio();
       RecordCompletion(result);
       promise.set_value(std::move(result));
       return future;
     }
-    if (metrics != nullptr) {
-      metrics->GetCounter("cache.misses")->Increment();
-      metrics->GetGauge("cache.hit_ratio")
-          ->Set(result_cache_->stats().HitRatio());
-    }
+    lookup_misses_.fetch_add(1, std::memory_order_relaxed);
+    if (lookup_metrics_.misses != nullptr) lookup_metrics_.misses->Increment();
+    PublishHitRatio();
     if (options_.observer.tracing()) {
       options_.observer.tracer->Instant(
           obs::TraceTrack{kServicePid, 0}, "cache_miss",
@@ -779,8 +789,7 @@ void BfsService::DispatchBatch(std::vector<PendingQuery> batch,
           if (result_cache_ != nullptr) {
             // Degraded (CPU-fallback) answers are cached too: their depths
             // are correct, and the cache stores answers, not contracts.
-            result_cache_->Put(group[j],
-                               CachedDepths{depths, depth_checksum, reached});
+            result_cache_->Put(group[j], depths, depth_checksum, reached);
             if (metrics != nullptr) {
               metrics->GetCounter("cache.insertions")->Increment();
             }

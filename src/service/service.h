@@ -19,6 +19,7 @@
 #include "graph/csr.h"
 #include "obs/flight.h"
 #include "obs/live.h"
+#include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "service/cache.h"
@@ -331,6 +332,8 @@ class BfsService {
   /// Dumps a flight record when the result cache quarantined an entry
   /// since the last check.
   void CheckQuarantineTrigger(double now_s);
+  /// Sets the cache.hit_ratio gauge from the admission lookup counters.
+  void PublishHitRatio();
 
   const graph::Csr* graph_;
   ServiceOptions options_;
@@ -351,6 +354,19 @@ class BfsService {
   obs::LiveStats live_stats_;
   /// Last cache-quarantine count seen, for the flight trigger.
   std::atomic<int64_t> last_quarantined_{0};
+  /// Result-cache lookups made at admission, behind cache.hit_ratio.
+  std::atomic<int64_t> lookup_hits_{0};
+  std::atomic<int64_t> lookup_misses_{0};
+  /// Metric handles of the admission lookup, resolved once at Create (all
+  /// null without a registry or a result cache).
+  struct LookupMetrics {
+    obs::Counter* hits = nullptr;
+    obs::Counter* misses = nullptr;
+    obs::Counter* completed = nullptr;
+    obs::Histogram* total_ms = nullptr;
+    obs::Gauge* hit_ratio = nullptr;
+  };
+  LookupMetrics lookup_metrics_;
   /// Allocates one simulated-time trace track per group execution (tid
   /// 1, 2, ... on the executing device's pid), so concurrent groups on
   /// one device never interleave kernel spans on a single track.

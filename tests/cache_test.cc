@@ -18,6 +18,7 @@
 #include "graph/builder.h"
 #include "graph/components.h"
 #include "graph/partition.h"
+#include "obs/metrics.h"
 #include "service/cache.h"
 #include "service/service.h"
 #include "service/workload.h"
@@ -86,8 +87,14 @@ TEST(CacheResultTest, MissThenHitRoundTripsValue) {
   EXPECT_EQ(hit->depths, (std::vector<uint8_t>{0, 1, 2, 0xff}));
   EXPECT_EQ(hit->reached, 3);
   EXPECT_EQ(hit->checksum, Fnv1a(hit->depths));
+  // A hit without depths carries the same checksum and reached count.
+  auto bare = cache.Get(7, /*with_depths=*/false);
+  ASSERT_TRUE(bare.has_value());
+  EXPECT_TRUE(bare->depths.empty());
+  EXPECT_EQ(bare->checksum, hit->checksum);
+  EXPECT_EQ(bare->reached, 3);
   const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.hits, 2);
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.insertions, 1);
   EXPECT_EQ(stats.entries, 1);
@@ -97,8 +104,9 @@ TEST(CacheResultTest, MissThenHitRoundTripsValue) {
 TEST(CacheResultTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   CacheOptions options;
   options.shards = 1;  // one LRU list so recency order is observable
-  // Room for roughly two 64-byte vectors plus per-entry overhead.
-  options.result_budget_bytes = 2 * (64 + 96);
+  // Room for two 64-vertex entries of up to three planes (one 8-byte word
+  // each) plus per-entry overhead, not three.
+  options.result_budget_bytes = 2 * (3 * 8 + 96);
   ResultCache cache(1, Strategy::kBitwise, options);
   cache.Put(1, MakeValue(std::vector<uint8_t>(64, 1)));
   cache.Put(2, MakeValue(std::vector<uint8_t>(64, 2)));
@@ -136,22 +144,37 @@ TEST(CacheResultTest, CorruptedEntryIsQuarantinedAndReinsertable) {
 }
 
 TEST(CacheResultTest, EveryByteFlipIsQuarantinedByGetAndPeek) {
-  // 1,001 bytes: 31 four-word blocks, one leftover word, one tail byte.
+  // 1,001 vertices at depths up to 12: four planes of 16 words each, so
+  // the plane words fill whole four-word seal blocks. Every single-bit
+  // flip of every plane must be caught, also by a hit that skips the
+  // unpack.
   std::vector<uint8_t> depths(1001);
   for (size_t i = 0; i < depths.size(); ++i) {
     depths[i] = static_cast<uint8_t>(i % 7 == 0 ? 0xff : i % 13);
   }
+  constexpr int kPlanes = 4;  // bit_width(12 + 1)
+  const CachedDepths value = MakeValue(depths);
   ResultCache cache(1, Strategy::kBitwise, CacheOptions{});
+  cache.Put(3, value);
+  EXPECT_FALSE(cache.CorruptEntryForTest(3, ResultCache::Field::kDepths, 0,
+                                         kPlanes));
   for (size_t i = 0; i < depths.size(); ++i) {
-    cache.Put(3, MakeValue(depths));
-    ASSERT_TRUE(cache.CorruptEntryForTest(3, ResultCache::Field::kDepths, i));
-    EXPECT_FALSE(cache.Get(3).has_value()) << "byte " << i;
-    cache.Put(3, MakeValue(depths));
-    ASSERT_TRUE(cache.CorruptEntryForTest(3, ResultCache::Field::kDepths, i));
-    EXPECT_FALSE(cache.Peek(3).has_value()) << "byte " << i;
+    for (int plane = 0; plane < kPlanes; ++plane) {
+      cache.Put(3, value);
+      ASSERT_TRUE(cache.CorruptEntryForTest(3, ResultCache::Field::kDepths, i,
+                                            plane));
+      EXPECT_FALSE(cache.Get(3, /*with_depths=*/false).has_value())
+          << "vertex " << i << " plane " << plane;
+      cache.Put(3, value);
+      ASSERT_TRUE(cache.CorruptEntryForTest(3, ResultCache::Field::kDepths, i,
+                                            plane));
+      EXPECT_FALSE(cache.Peek(3).has_value())
+          << "vertex " << i << " plane " << plane;
+    }
   }
   const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.quarantined, 2 * static_cast<int64_t>(depths.size()));
+  EXPECT_EQ(stats.quarantined,
+            2 * kPlanes * static_cast<int64_t>(depths.size()));
   EXPECT_EQ(stats.hits, 0);
   EXPECT_EQ(stats.entries, 0);
   // An intact entry still round-trips.
@@ -173,6 +196,109 @@ TEST(CacheResultTest, CorruptedChecksumOrReachedIsQuarantined) {
     EXPECT_EQ(cache.stats().quarantined, 2);
     EXPECT_EQ(cache.stats().entries, 0);
   }
+}
+
+TEST(CacheResultTest, EveryBitFlipOfTheSealedFieldsIsQuarantined) {
+  // A corrupted width or length must be caught before the unpack reads
+  // the planes with it; checksum and reached are what a hit serves.
+  for (ResultCache::Field field :
+       {ResultCache::Field::kChecksum, ResultCache::Field::kReached,
+        ResultCache::Field::kWidth, ResultCache::Field::kLength}) {
+    ResultCache cache(1, Strategy::kBitwise, CacheOptions{});
+    int64_t flipped = 0;
+    for (size_t bit = 0; bit < 64; ++bit) {
+      cache.Put(6, MakeValue({0, 1, 2, 0xff, 3}));
+      if (!cache.CorruptEntryForTest(6, field, bit)) {
+        EXPECT_EQ(field, ResultCache::Field::kWidth);  // an int: 31 bits
+        EXPECT_GE(bit, 31u);
+        continue;
+      }
+      ++flipped;
+      EXPECT_FALSE(cache.Get(6, /*with_depths=*/bit % 2 == 0).has_value())
+          << "bit " << bit;
+    }
+    EXPECT_EQ(cache.stats().quarantined, flipped);
+    EXPECT_EQ(cache.stats().hits, 0);
+  }
+}
+
+TEST(CacheResultTest, PackRoundTripsEveryWidthAndLength) {
+  // Width w holds depths up to 2^w - 2; the vector reaches that maximum and
+  // also has unvisited vertices, which take the code 2^w - 1.
+  for (int width = 1; width <= 8; ++width) {
+    const int max_depth = (1 << width) - 2;
+    for (size_t length : {1, 15, 16, 17, 1001, 8192}) {
+      std::vector<uint8_t> depths(length);
+      for (size_t i = 0; i < length; ++i) {
+        depths[i] = i % 5 == 3
+                        ? 0xff
+                        : static_cast<uint8_t>((i * 7) % (max_depth + 1));
+      }
+      depths[length / 2] = static_cast<uint8_t>(max_depth);
+      ResultCache cache(1, Strategy::kBitwise, CacheOptions{});
+      cache.Put(11, MakeValue(depths));
+      const int64_t plane_bytes =
+          static_cast<int64_t>((length + 63) / 64 * 8);
+      EXPECT_EQ(cache.bytes_resident(), width * plane_bytes + 96)
+          << "width " << width << " length " << length;
+      const auto peeked = cache.Peek(11);
+      ASSERT_TRUE(peeked.has_value());
+      EXPECT_EQ(peeked->depths, depths)
+          << "width " << width << " length " << length;
+      const auto hit = cache.Get(11);
+      ASSERT_TRUE(hit.has_value());
+      EXPECT_EQ(hit->depths, depths)
+          << "width " << width << " length " << length;
+      EXPECT_EQ(hit->checksum, Fnv1a(depths));
+    }
+  }
+}
+
+TEST(CacheResultTest, DepthTwoFiftyFourIsStoredAtWidthEight) {
+  std::vector<uint8_t> depths(100, 0xff);
+  depths[0] = 0;
+  depths[50] = 254;
+  depths[99] = 127;
+  ResultCache cache(1, Strategy::kBitwise, CacheOptions{});
+  cache.Put(2, MakeValue(depths));
+  EXPECT_EQ(cache.bytes_resident(), 8 * 2 * 8 + 96);  // 8 planes of 2 words
+  const auto hit = cache.Get(2);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->depths, depths);
+  EXPECT_EQ(hit->reached, 3);
+}
+
+TEST(CacheResultTest, OnlyTheSourceVisitedPacksToOnePlane) {
+  std::vector<uint8_t> depths(8192, 0xff);
+  depths[4321] = 0;
+  ResultCache cache(1, Strategy::kBitwise, CacheOptions{});
+  cache.Put(4321, MakeValue(depths));
+  EXPECT_EQ(cache.bytes_resident(), 8192 / 8 + 96);
+  const auto hit = cache.Get(4321);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->depths, depths);
+  EXPECT_EQ(hit->reached, 1);
+}
+
+TEST(CacheResultTest, PackedEntriesFitTwoAndAHalfTimesTheByteLayout) {
+  // LJ-sized answers (8,192 vertices, depths at most 6) in the 8 MiB,
+  // 8-shard cache of the serve_churn benchmark. One byte per vertex held
+  // 8 * floor(1 MiB / (8,192 + 96 B)) = 1,008 of them; three planes hold
+  // 8 * floor(1 MiB / (3,072 + 96 B)) = 2,640.
+  std::vector<uint8_t> depths(8192);
+  for (size_t i = 0; i < depths.size(); ++i) {
+    depths[i] = i % 9 == 0 ? 0xff : static_cast<uint8_t>(i % 7);
+  }
+  const CachedDepths value = MakeValue(depths);
+  CacheOptions options;
+  options.result_budget_bytes = int64_t{8} << 20;
+  options.shards = 8;
+  ResultCache cache(1, Strategy::kBitwise, options);
+  for (graph::VertexId source = 0; source < 4000; ++source) {
+    cache.Put(source, value);
+  }
+  EXPECT_GE(cache.stats().entries, 2520);  // 2.5 x 1,008
+  EXPECT_LE(cache.bytes_resident(), options.result_budget_bytes);
 }
 
 TEST(CacheResultTest, CorruptEntryForTestReportsAbsentSource) {
@@ -358,6 +484,28 @@ TEST(CacheServiceTest, SecondWaveResolvesFromCache) {
   EXPECT_EQ(cache.insertions, static_cast<int64_t>(sources.size()));
 }
 
+TEST(CacheServiceTest, HitRatioGaugeCountsAdmissionLookups) {
+  const graph::Csr graph = MakeRmatGraph(8, 8);
+  const std::vector<graph::VertexId> sources =
+      graph::SampleConnectedSources(graph, 12, 7);
+  obs::MetricsRegistry registry;
+  ServiceOptions options = CachedServiceOptions();
+  options.observer.metrics = &registry;
+  auto svc = BfsService::Create(&graph, options);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  SubmitAll(svc.value().get(), sources);  // every lookup misses
+  SubmitAll(svc.value().get(), sources);  // every lookup hits
+  SubmitAll(svc.value().get(), sources);
+  svc.value()->Shutdown();
+  const auto n = static_cast<int64_t>(sources.size());
+  EXPECT_EQ(registry.FindCounter("cache.hits")->value(), 2 * n);
+  EXPECT_EQ(registry.FindCounter("cache.misses")->value(), n);
+  EXPECT_EQ(registry.FindCounter("service.completed")->value(), 3 * n);
+  EXPECT_EQ(registry.FindHistogram("service.total_ms")->count(), 3 * n);
+  EXPECT_DOUBLE_EQ(registry.FindGauge("cache.hit_ratio")->value(), 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(svc.value()->cache_stats().HitRatio(), 2.0 / 3.0);
+}
+
 TEST(CacheServiceTest, QuarantinedEntryIsReexecutedCorrectly) {
   const graph::Csr graph = MakeRmatGraph(8, 8);
   const std::vector<graph::VertexId> sources =
@@ -518,6 +666,41 @@ TEST(CacheDeterminismTest, OnOffBitIdenticalAcrossThreadCounts) {
       // the executor width may change latency, never answers.
       EXPECT_EQ(run, baseline)
           << "cache_on=" << cache_on << " threads=" << threads;
+    }
+  }
+}
+
+TEST(CacheDeterminismTest, HitsMatchMissesWithAndWithoutDepths) {
+  const graph::Csr graph = MakeRmatGraph(8, 8);
+  const std::vector<graph::VertexId> sources =
+      graph::SampleConnectedSources(graph, 12, 7);
+  std::map<bool, std::vector<QueryResult>> misses, hits;
+  for (bool keep_depths : {false, true}) {
+    ServiceOptions options = CachedServiceOptions();
+    options.keep_depths = keep_depths;
+    auto svc = BfsService::Create(&graph, options);
+    ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+    misses[keep_depths] = SubmitAll(svc.value().get(), sources);
+    hits[keep_depths] = SubmitAll(svc.value().get(), sources);
+    svc.value()->Shutdown();
+  }
+  for (size_t i = 0; i < sources.size(); ++i) {
+    const QueryResult& filled = misses[true][i];
+    ASSERT_TRUE(filled.status.ok()) << filled.status.ToString();
+    for (bool keep_depths : {false, true}) {
+      const QueryResult& miss = misses[keep_depths][i];
+      const QueryResult& hit = hits[keep_depths][i];
+      ASSERT_TRUE(miss.status.ok()) << miss.status.ToString();
+      ASSERT_TRUE(hit.status.ok()) << hit.status.ToString();
+      EXPECT_FALSE(miss.cached);
+      EXPECT_TRUE(hit.cached);
+      for (const QueryResult* r : {&miss, &hit}) {
+        EXPECT_EQ(r->depth_checksum, filled.depth_checksum);
+        EXPECT_EQ(r->reached, filled.reached);
+        // Depths travel only when asked for, byte-identical to the miss.
+        EXPECT_EQ(r->depths, keep_depths ? filled.depths
+                                         : std::vector<uint8_t>{});
+      }
     }
   }
 }
