@@ -1,26 +1,23 @@
 // Simulator fast-path microbench: wall-clock cost of the gpusim
 // accounting layer and of the two shared-status traversal kernels whose
-// inner loops dominate serving latency, plus an end-to-end serve-path p50
-// under the BENCH_service.json conditions. Writes BENCH_gpusim.json.
+// inner loops dominate serving latency. Writes BENCH_gpusim.json.
 //
 // Sections:
 //   accounting     tight BeginKernel/LoadContiguous/Compute/Atomic/End
 //                  loop — ns per accounted call, the per-call overhead the
 //                  batched entry points exist to avoid.
 //   bitwise_sweep  Engine run, bitwise strategy (fused frontier sweep) —
-//                  the ">= 2x wall-clock" target of the fast-path PR. The
+//                  the fast path's ">= 2x wall-clock" target. The
 //                  timed runs skip depth materialization (the serve-path
 //                  configuration); an untimed depth-recording pass pins
 //                  the checksum.
 //   joint_sweep    Engine run, joint-traversal strategy, same scheme.
-//   serve          open-loop poisson workload through BfsService (cache
-//                  off): queue+batch+execute latency percentiles.
 //
 // Every section also records simulation-identity fingerprints (depth
 // checksums, transaction counts, simulated seconds): a fast path that
 // changes any of them is a broken fast path, and tools/check_bench.py
 // fails the bench_smoke ctest on any fingerprint drift vs the committed
-// BENCH_gpusim.json (wall-clock drifts only warn inside a tolerance band).
+// BENCH_gpusim.json (wall clock fails only beyond a fixed 4x band).
 //
 // Environment knobs (all optional):
 //   IBFS_GPUSIM_BENCH_SCALE      RMAT scale of the micro graphs (def 14)
@@ -28,14 +25,7 @@
 //   IBFS_GPUSIM_BENCH_INSTANCES  BFS instances per engine run (def 256)
 //   IBFS_GPUSIM_BENCH_GROUP     group size N (def 64)
 //   IBFS_GPUSIM_BENCH_REPEATS    timed repetitions, best-of (def 3)
-//   IBFS_GPUSIM_BENCH_QPS        serve-section offered load (def 400)
-//   IBFS_GPUSIM_BENCH_DURATION   serve-section seconds (def 1.0)
-//   IBFS_GPUSIM_BENCH_SERVE      0 skips the serve section (def 1)
 //   IBFS_GPUSIM_BENCH_OUT        output path (def BENCH_gpusim.json)
-//   IBFS_GPUSIM_BENCH_BASELINE   path to a pre-refactor run of this bench;
-//                                embeds it plus speedup ratios in the
-//                                output (how BENCH_gpusim.json records its
-//                                before/after evidence)
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -46,8 +36,6 @@
 #include "bench/common.h"
 #include "gen/rmat.h"
 #include "obs/json.h"
-#include "service/service.h"
-#include "service/workload.h"
 #include "util/checksum.h"
 
 namespace ibfs::bench {
@@ -152,67 +140,6 @@ AccountingResult RunAccounting() {
   return result;
 }
 
-struct ServeResult {
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  double achieved_qps = 0.0;
-  int64_t completed = 0;
-  uint64_t checksum = 0;
-};
-
-ServeResult RunServe(const graph::Csr& graph, double qps,
-                     double duration_s) {
-  service::WorkloadOptions workload;
-  workload.arrival = service::ArrivalProcess::kPoisson;
-  workload.qps = qps;
-  workload.duration_s = duration_s;
-  workload.seed = 2016;
-  auto events = service::GenerateArrivals(graph, workload);
-  IBFS_CHECK(events.ok()) << events.status().ToString();
-
-  service::ServiceOptions options;
-  options.max_batch = 64;
-  options.max_delay_ms = 2.0;
-  options.execute_threads = 2;
-  options.keep_depths = false;
-  options.cache.enabled = false;  // measure execution, not cache hits
-  options.engine = BaseOptions(Strategy::kBitwise, GroupingPolicy::kGroupBy);
-  auto svc = service::BfsService::Create(&graph, options);
-  IBFS_CHECK(svc.ok()) << svc.status().ToString();
-  auto drive = service::DriveWorkload(svc.value().get(), events.value());
-  IBFS_CHECK(drive.ok()) << drive.status().ToString();
-
-  ServeResult serve;
-  std::vector<double> totals;
-  uint64_t state = kFnv1aOffsetBasis;
-  for (const auto& query : drive.value().results) {
-    IBFS_CHECK(query.status.ok()) << query.status.ToString();
-    totals.push_back(query.latency.total_ms);
-    const uint64_t checksum = query.depth_checksum;
-    state = Fnv1aExtend(
-        state, {reinterpret_cast<const uint8_t*>(&checksum),
-                sizeof(checksum)});
-  }
-  serve.checksum = state;
-  serve.completed = static_cast<int64_t>(totals.size());
-  std::sort(totals.begin(), totals.end());
-  const auto pct = [&totals](double p) {
-    if (totals.empty()) return 0.0;
-    const size_t index = static_cast<size_t>(
-        p * static_cast<double>(totals.size() - 1));
-    return totals[index];
-  };
-  serve.p50_ms = pct(0.50);
-  serve.p95_ms = pct(0.95);
-  serve.p99_ms = pct(0.99);
-  serve.achieved_qps =
-      drive.value().wall_seconds > 0.0
-          ? static_cast<double>(totals.size()) / drive.value().wall_seconds
-          : 0.0;
-  return serve;
-}
-
 void WriteHex(obs::JsonWriter* w, uint64_t value) {
   char buf[19];
   std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, value);
@@ -240,16 +167,12 @@ void WriteSweep(obs::JsonWriter* w, const SweepResult& sweep) {
 
 int Main() {
   PrintHeader("gpusim fast path",
-              "accounting overhead + traversal-kernel wall clock + serve "
-              "p50");
+              "accounting overhead + traversal-kernel wall clock");
   const int scale = EnvInt("IBFS_GPUSIM_BENCH_SCALE", 14);
   const int edge_factor = EnvInt("IBFS_GPUSIM_BENCH_EDGES", 16);
   const int64_t instances = EnvInt64("IBFS_GPUSIM_BENCH_INSTANCES", 256);
   const int group_size = EnvInt("IBFS_GPUSIM_BENCH_GROUP", 64);
   const int repeats = EnvInt("IBFS_GPUSIM_BENCH_REPEATS", 3);
-  const double qps = EnvDouble("IBFS_GPUSIM_BENCH_QPS", 400.0);
-  const double duration_s = EnvDouble("IBFS_GPUSIM_BENCH_DURATION", 1.0);
-  const bool run_serve = EnvBool("IBFS_GPUSIM_BENCH_SERVE", true);
 
   gen::RmatParams params;
   params.scale = scale;
@@ -281,35 +204,6 @@ int Main() {
               joint.best_seconds, repeats, joint.sim_seconds,
               joint.depth_checksum);
 
-  ServeResult serve;
-  if (run_serve) {
-    serve = RunServe(graph, qps, duration_s);
-    std::printf("serve:         p50 %.3f ms  p95 %.3f ms  p99 %.3f ms "
-                "(%lld queries)\n",
-                serve.p50_ms, serve.p95_ms, serve.p99_ms,
-                static_cast<long long>(serve.completed));
-  }
-
-  // Optional before/after embedding: point IBFS_GPUSIM_BENCH_BASELINE at a
-  // pre-refactor run of this bench and the output carries that run plus
-  // the headline speedups.
-  const std::string baseline_path =
-      EnvString("IBFS_GPUSIM_BENCH_BASELINE", "");
-  obs::JsonValue baseline;
-  bool have_baseline = false;
-  if (!baseline_path.empty()) {
-    auto parsed = obs::ParseJsonFile(baseline_path);
-    IBFS_CHECK(parsed.ok()) << parsed.status().ToString();
-    baseline = std::move(parsed).value();
-    have_baseline = true;
-  }
-  const auto baseline_best = [&baseline](const char* section) {
-    const obs::JsonValue* s = baseline.Find(section);
-    const obs::JsonValue* v =
-        s != nullptr ? s->Find("wall_seconds_best") : nullptr;
-    return v != nullptr && v->is_number() ? v->number_value() : 0.0;
-  };
-
   const std::string out =
       EnvString("IBFS_GPUSIM_BENCH_OUT", "BENCH_gpusim.json");
   std::ofstream os(out, std::ios::binary);
@@ -335,10 +229,6 @@ int Main() {
   w.Int(group_size);
   w.Key("repeats");
   w.Int(repeats);
-  w.Key("qps");
-  w.Double(qps);
-  w.Key("duration_s");
-  w.Double(duration_s);
   w.EndObject();
   w.Key("accounting");
   w.BeginObject();
@@ -357,56 +247,9 @@ int Main() {
   WriteSweep(&w, bitwise);
   w.Key("joint_sweep");
   WriteSweep(&w, joint);
-  if (run_serve) {
-    w.Key("serve");
-    w.BeginObject();
-    w.Key("p50_ms");
-    w.Double(serve.p50_ms);
-    w.Key("p95_ms");
-    w.Double(serve.p95_ms);
-    w.Key("p99_ms");
-    w.Double(serve.p99_ms);
-    w.Key("achieved_qps");
-    w.Double(serve.achieved_qps);
-    w.Key("completed");
-    w.Int(serve.completed);
-    w.Key("checksum");
-    WriteHex(&w, serve.checksum);
-    w.EndObject();
-  }
-  if (have_baseline) {
-    const double bitwise_before = baseline_best("bitwise_sweep");
-    const double joint_before = baseline_best("joint_sweep");
-    w.Key("speedup_vs_baseline");
-    w.BeginObject();
-    w.Key("bitwise_sweep");
-    w.Double(bitwise.best_seconds > 0.0 && bitwise_before > 0.0
-                 ? bitwise_before / bitwise.best_seconds
-                 : 0.0);
-    w.Key("joint_sweep");
-    w.Double(joint.best_seconds > 0.0 && joint_before > 0.0
-                 ? joint_before / joint.best_seconds
-                 : 0.0);
-    w.EndObject();
-    w.Key("baseline");
-    std::ifstream is(baseline_path, std::ios::binary);
-    std::string text((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    while (!text.empty() &&
-           (text.back() == '\n' || text.back() == ' ' ||
-            text.back() == '\r')) {
-      text.pop_back();
-    }
-    w.Raw(text);
-  }
   w.EndObject();
   os << '\n';
   std::printf("wrote %s\n", out.c_str());
-  if (have_baseline) {
-    std::printf("speedup vs baseline: bitwise %.2fx, joint %.2fx\n",
-                baseline_best("bitwise_sweep") / bitwise.best_seconds,
-                baseline_best("joint_sweep") / joint.best_seconds);
-  }
   return 0;
 }
 

@@ -148,9 +148,9 @@ struct ReportLatency {
 };
 
 /// The online-serving run report ("ibfs.service_report"): what one
-/// `ibfs_cli serve` run or serve_bench point measured — throughput,
-/// queue/execute/total latency SLOs, and the dynamic batcher's sharing
-/// ratio against the oracle that saw every source up front. Like
+/// `ibfs_cli serve` run measured — throughput, queue/execute/total
+/// latency SLOs, and the dynamic batcher's sharing ratio against the
+/// oracle that saw every source up front. Like
 /// RunReport, this is a plain struct so the obs layer stays below core;
 /// service/workload.h builds it from a driven workload.
 struct ServiceReport : JsonDocument<ServiceReport> {
