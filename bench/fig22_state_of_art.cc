@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "baselines/cpu_bfs.h"
-#include "baselines/gpu_baselines.h"
 #include "bench/common.h"
 #include "ibfs/groupby.h"
 #include "util/csv.h"
@@ -69,8 +68,10 @@ int Main() {
                 [](const auto& g, const auto& s, const auto& o, auto* cpu) {
                   return baselines::RunCpuIbfs(g, s, o, cpu);
                 });
+    // B40C models one single-source BFS per launch (Section 8.6).
     const double b40c = GpuTeps(lg.graph, sources, Strategy::kSequential,
                                 GroupingPolicy::kRandom, false);
+    // SpMM-BC models a joint traversal that is top-down only (Section 9).
     const double spmm = GpuTeps(lg.graph, sources, Strategy::kJointTraversal,
                                 GroupingPolicy::kRandom,
                                 /*force_top_down=*/true);

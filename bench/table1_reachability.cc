@@ -60,6 +60,7 @@ int Main() {
     const auto sources = Sources(lg.graph, instances);
     const double ms_bfs = CpuBuildSeconds(lg.graph, sources, false);
     const double cpu_ibfs = CpuBuildSeconds(lg.graph, sources, true);
+    // B40C models one single-source BFS per launch (Section 8.6).
     const double b40c = GpuBuildSeconds(lg.graph, sources,
                                         Strategy::kSequential,
                                         GroupingPolicy::kInOrder);

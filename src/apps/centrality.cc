@@ -1,51 +1,9 @@
 #include "apps/centrality.h"
 
+#include <algorithm>
 #include <deque>
 
-#include "ibfs/status_array.h"
-
 namespace ibfs::apps {
-
-Result<std::vector<double>> ClosenessCentrality(
-    const graph::Csr& graph, std::span<const graph::VertexId> sources,
-    const EngineOptions& options, double* sim_seconds) {
-  EngineOptions opts = options;
-  opts.keep_depths = true;
-  Engine engine(&graph, opts);
-  Result<EngineResult> run = engine.Run(sources);
-  IBFS_RETURN_NOT_OK(run.status());
-  const EngineResult& res = run.value();
-  if (sim_seconds != nullptr) *sim_seconds = res.sim_seconds;
-
-  // The engine may regroup sources; map results back to input order.
-  std::vector<double> by_source(graph.vertex_count(), 0.0);
-  const double n_minus_1 =
-      static_cast<double>(graph.vertex_count()) - 1.0;
-  for (size_t g = 0; g < res.groups.size(); ++g) {
-    for (size_t j = 0; j < res.group_sources[g].size(); ++j) {
-      const auto& depths = res.groups[g].depths[j];
-      int64_t reached = 0;
-      int64_t depth_sum = 0;
-      for (uint8_t d : depths) {
-        if (d != kUnvisitedDepth) {
-          ++reached;
-          depth_sum += d;
-        }
-      }
-      double c = 0.0;
-      if (reached > 1 && depth_sum > 0 && n_minus_1 > 0) {
-        const double r_minus_1 = static_cast<double>(reached) - 1.0;
-        c = (r_minus_1 / n_minus_1) *
-            (r_minus_1 / static_cast<double>(depth_sum));
-      }
-      by_source[res.group_sources[g][j]] = c;
-    }
-  }
-  std::vector<double> out;
-  out.reserve(sources.size());
-  for (graph::VertexId s : sources) out.push_back(by_source[s]);
-  return out;
-}
 
 std::vector<double> BetweennessCentrality(
     const graph::Csr& graph, std::span<const graph::VertexId> sources) {

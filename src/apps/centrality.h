@@ -4,27 +4,15 @@
 #include <span>
 #include <vector>
 
-#include "core/engine.h"
 #include "graph/csr.h"
 
 namespace ibfs::apps {
 
-/// Centrality measures built on concurrent BFS — the broader applications
-/// the paper's introduction motivates (closeness [13], betweenness [11]).
-
-/// Closeness centrality of every vertex in `sources`, computed from iBFS
-/// depths with the Wasserman–Faust generalization for disconnected graphs:
-///   C(s) = ((r-1)/(n-1)) * ((r-1) / sum of depths), r = vertices reached.
-/// Returns one value per source (0 when the source reaches nothing) and
-/// records the simulated seconds in *sim_seconds when non-null.
-Result<std::vector<double>> ClosenessCentrality(
-    const graph::Csr& graph, std::span<const graph::VertexId> sources,
-    const EngineOptions& options, double* sim_seconds = nullptr);
-
-/// Exact betweenness centrality via Brandes' algorithm, one BFS-based
-/// dependency accumulation per source (host-exact; used to validate and to
-/// demonstrate the application, not instrumented for simulated time).
-/// Pass all vertices as sources for the classical definition.
+/// Exact betweenness centrality (an application the paper's introduction
+/// motivates [11]) via Brandes' algorithm, one BFS-based dependency
+/// accumulation per source (host-exact; used to validate and to demonstrate
+/// the application, not instrumented for simulated time). Pass all
+/// vertices as sources for the classical definition.
 std::vector<double> BetweennessCentrality(
     const graph::Csr& graph, std::span<const graph::VertexId> sources);
 

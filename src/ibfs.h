@@ -15,7 +15,6 @@
 #include "core/cluster_engine.h"
 #include "core/engine.h"
 #include "core/options.h"
-#include "core/shortest_paths.h"
 #include "core/trace_io.h"
 #include "core/validate.h"
 #include "gen/benchmarks.h"

@@ -2,7 +2,6 @@
 
 #include "baselines/cpu_bfs.h"
 #include "baselines/cpu_model.h"
-#include "baselines/gpu_baselines.h"
 #include "baselines/reference_bfs.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -147,34 +146,6 @@ TEST(CpuIbfsTest, FasterThanMsBfsOnPowerLaw) {
   auto ib = RunCpuIbfs(g, sources, {}, &cpu_ibfs);
   ASSERT_TRUE(ms.ok() && ib.ok());
   EXPECT_LT(ib.value().seconds, ms.value().seconds);
-}
-
-TEST(GpuBaselinesTest, B40cMatchesReference) {
-  const graph::Csr g = ibfs::testing::MakeRmatGraph(6, 8);
-  const auto sources = FirstSources(4);
-  gpusim::Device device;
-  auto result = RunB40cLike(g, sources, {}, &device);
-  ASSERT_TRUE(result.ok());
-  for (size_t j = 0; j < sources.size(); ++j) {
-    EXPECT_TRUE(
-        DepthsMatchReference(g, sources[j], result.value().depths[j]));
-  }
-}
-
-TEST(GpuBaselinesTest, SpmmBcMatchesReferenceAndStaysTopDown) {
-  const graph::Csr g = ibfs::testing::MakeRmatGraph(7, 12);
-  const auto sources = FirstSources(16);
-  gpusim::Device device;
-  auto result = RunSpmmBcLike(g, sources, {}, &device);
-  ASSERT_TRUE(result.ok());
-  for (size_t j = 0; j < sources.size(); ++j) {
-    EXPECT_TRUE(
-        DepthsMatchReference(g, sources[j], result.value().depths[j]));
-  }
-  for (const auto& lt : result.value().trace.levels) {
-    EXPECT_FALSE(lt.bottom_up);
-  }
-  EXPECT_EQ(device.PhaseStats("bu_inspect").launch_count, 0);
 }
 
 }  // namespace

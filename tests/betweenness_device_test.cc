@@ -3,8 +3,6 @@
 
 #include "apps/betweenness_device.h"
 #include "apps/centrality.h"
-#include "apps/eccentricity.h"
-#include "graph/components.h"
 #include "graph/builder.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -83,32 +81,6 @@ TEST(DeviceBetweennessTest, RejectsBadInput) {
   EXPECT_FALSE(DeviceBetweenness(g, bad, 4).ok());
   const std::vector<VertexId> ok_pivots = {0};
   EXPECT_FALSE(DeviceBetweenness(g, ok_pivots, 0).ok());
-}
-
-TEST(DoubleSweepTest, ExactOnChain) {
-  const graph::Csr g = testing::MakeDisconnectedGraph(12);  // chain 0..9
-  auto diameter = EstimateDiameterDoubleSweep(g, 3, 1);
-  ASSERT_TRUE(diameter.ok());
-  EXPECT_EQ(diameter.value(), 9);
-}
-
-TEST(DoubleSweepTest, LowerBoundsTrueDiameter) {
-  const graph::Csr g = testing::MakeRmatGraph(7, 6);
-  auto estimate = EstimateDiameterDoubleSweep(g, 4, 2);
-  ASSERT_TRUE(estimate.ok());
-  // Exact diameter of the giant component via full eccentricities.
-  const auto members = graph::GiantComponent(g);
-  auto full = ComputeEccentricities(g, members);
-  ASSERT_TRUE(full.ok());
-  EXPECT_LE(estimate.value(), full.value().diameter_lower_bound);
-  // Double sweep is usually tight on small-world graphs; at minimum it
-  // must reach half the true value.
-  EXPECT_GE(2 * estimate.value(), full.value().diameter_lower_bound);
-}
-
-TEST(DoubleSweepTest, RejectsBadRounds) {
-  const graph::Csr g = testing::MakeSmallGraph();
-  EXPECT_FALSE(EstimateDiameterDoubleSweep(g, 0).ok());
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
-// Tests for the release-grade extras: binary graph serialization,
-// degree-ordered relabeling, distance matrices, and eccentricities.
+// Tests for the release-grade extras: binary graph serialization and
+// degree-ordered relabeling.
 #include <cstdio>
 #include <numeric>
 
-#include "apps/eccentricity.h"
 #include "baselines/reference_bfs.h"
-#include "core/shortest_paths.h"
 #include "graph/io.h"
 #include "graph/relabel.h"
 #include "gtest/gtest.h"
@@ -107,76 +105,6 @@ TEST(RelabelTest, TraversalEquivalentAfterMappingBack) {
     const int got = mapped[v] == 0xFF ? -1 : mapped[v];
     EXPECT_EQ(got, direct[v]) << "vertex " << v;
   }
-}
-
-TEST(DistanceMatrixTest, MatchesReference) {
-  const Csr g = testing::MakeRmatGraph(7, 8);
-  std::vector<VertexId> sources = {0, 11, 54, 97};
-  auto matrix = DistanceMatrix::Compute(g, sources);
-  ASSERT_TRUE(matrix.ok());
-  const auto& m = matrix.value();
-  EXPECT_EQ(m.source_count(), 4);
-  EXPECT_GT(m.sim_seconds(), 0.0);
-  for (VertexId s : sources) {
-    const int64_t row = m.RowOf(s);
-    ASSERT_GE(row, 0);
-    EXPECT_EQ(m.SourceAt(row), s);
-    const auto ref = baselines::ReferenceBfs(g, s);
-    for (int64_t v = 0; v < g.vertex_count(); ++v) {
-      EXPECT_EQ(m.Distance(row, static_cast<VertexId>(v)), ref[v]);
-    }
-  }
-}
-
-TEST(DistanceMatrixTest, AllPairsSymmetricOnUndirectedGraph) {
-  const Csr g = testing::MakeSmallGraph();
-  auto matrix = DistanceMatrix::AllPairs(g);
-  ASSERT_TRUE(matrix.ok());
-  const auto& m = matrix.value();
-  EXPECT_EQ(m.source_count(), g.vertex_count());
-  for (int64_t u = 0; u < g.vertex_count(); ++u) {
-    for (int64_t v = 0; v < g.vertex_count(); ++v) {
-      EXPECT_EQ(m.Distance(m.RowOf(static_cast<VertexId>(u)),
-                           static_cast<VertexId>(v)),
-                m.Distance(m.RowOf(static_cast<VertexId>(v)),
-                           static_cast<VertexId>(u)));
-    }
-  }
-}
-
-TEST(DistanceMatrixTest, RowOfNonSourceIsNegative) {
-  const Csr g = testing::MakeSmallGraph();
-  const std::vector<VertexId> sources = {1, 2};
-  auto matrix = DistanceMatrix::Compute(g, sources);
-  ASSERT_TRUE(matrix.ok());
-  EXPECT_EQ(matrix.value().RowOf(7), -1);
-}
-
-TEST(EccentricityTest, ChainHasKnownValues) {
-  // Chain 0..9 (+island): ecc(0) = 9, ecc(5) = 5; diameter 9, radius <= 5.
-  const Csr g = testing::MakeDisconnectedGraph(12);
-  const std::vector<VertexId> sources = {0, 5, 9};
-  auto result = apps::ComputeEccentricities(g, sources);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().eccentricity[0], 9);
-  EXPECT_EQ(result.value().eccentricity[1], 5);
-  EXPECT_EQ(result.value().eccentricity[2], 9);
-  EXPECT_EQ(result.value().diameter_lower_bound, 9);
-  EXPECT_EQ(result.value().radius_upper_bound, 5);
-  EXPECT_GT(result.value().sim_seconds, 0.0);
-}
-
-TEST(EccentricityTest, AgreesAcrossStrategies) {
-  const Csr g = testing::MakeRmatGraph(7, 8);
-  const std::vector<VertexId> sources = {0, 1, 2, 3, 4, 5, 6, 7};
-  EngineOptions bitwise;
-  bitwise.strategy = Strategy::kBitwise;
-  EngineOptions sequential;
-  sequential.strategy = Strategy::kSequential;
-  auto a = apps::ComputeEccentricities(g, sources, bitwise);
-  auto b = apps::ComputeEccentricities(g, sources, sequential);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a.value().eccentricity, b.value().eccentricity);
 }
 
 }  // namespace

@@ -264,6 +264,46 @@ TEST(StrategiesTest, MaxLevelTruncatesAllStrategies) {
   }
 }
 
+TEST(StrategiesTest, ForceTopDownNeverRunsBottomUp) {
+  // The graph is dense enough that every strategy switches to bottom-up
+  // unless forced, so the forced runs below show what the flag does.
+  const graph::Csr g = testing::MakeRmatGraph(7, 12);
+  const auto sources = FirstSources(16);
+  TraversalOptions forced;
+  forced.force_top_down = true;
+  for (Strategy s :
+       {Strategy::kSequential, Strategy::kNaiveConcurrent,
+        Strategy::kJointTraversal, Strategy::kBitwise}) {
+    gpusim::Device free_device;
+    ASSERT_TRUE(RunGroup(s, g, sources, {}, &free_device).ok());
+    EXPECT_GT(free_device.PhaseStats("bu_inspect").launch_count, 0)
+        << StrategyName(s);
+
+    gpusim::Device device;
+    auto result = RunGroup(s, g, sources, forced, &device);
+    ASSERT_TRUE(result.ok());
+    for (size_t j = 0; j < sources.size(); ++j) {
+      EXPECT_TRUE(baselines::DepthsMatchReference(g, sources[j],
+                                                  result.value().depths[j]))
+          << StrategyName(s);
+    }
+    for (const auto& lt : result.value().trace.levels) {
+      EXPECT_FALSE(lt.bottom_up) << StrategyName(s);
+    }
+    // No bottom-up kernel does any work. The naive runner opens its
+    // bu_inspect scope every level even when no instance uses it, so it
+    // records one empty launch per level; the other strategies none.
+    const gpusim::KernelStats bu = device.PhaseStats("bu_inspect");
+    EXPECT_EQ(bu.item_count, 0) << StrategyName(s);
+    EXPECT_EQ(bu.mem.load_transactions, 0u) << StrategyName(s);
+    const int64_t empty_launches =
+        s == Strategy::kNaiveConcurrent
+            ? static_cast<int64_t>(result.value().trace.levels.size())
+            : 0;
+    EXPECT_EQ(bu.launch_count, empty_launches) << StrategyName(s);
+  }
+}
+
 TEST(StrategiesTest, TraceLevelsCoverTraversal) {
   const graph::Csr g = testing::MakeRmatGraph(7, 8);
   const auto sources = FirstSources(16);
