@@ -219,7 +219,15 @@ void BitwiseRunner::RunTopDownLevel(gpusim::KernelScope* scope) {
     } else {
       row_loads.Observe(prev_.ElementIndex(f, 0));
     }
-    const uint64_t* const mask = pw + static_cast<int64_t>(f) * words;
+    // With a fixed width the mask is copied into locals: the neighbor-row
+    // stores below may not alias them, so the compiler keeps the mask in
+    // registers instead of reloading it after every store.
+    uint64_t mask_copy[kW != 0 ? kW : 1];
+    const uint64_t* mask = pw + static_cast<int64_t>(f) * words;
+    if constexpr (kW != 0) {
+      std::copy(mask, mask + kW, mask_copy);
+      mask = mask_copy;
+    }
 
     // Logical inspections: each instance sharing f inspects each edge.
     int share_count = 0;
@@ -315,16 +323,12 @@ void BitwiseRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
     uint64_t* const row = cw + static_cast<int64_t>(f) * words;
 
     // Unset valid bits of row f (= logical inspections each neighbor scan
-    // performs), recounted only when a parent adds bits: the
-    // early-termination test is one integer compare.
-    const auto count_unset = [&] {
-      int64_t unset = 0;
-      for (int w = 0; w < words; ++w) {
-        unset += PopCount(~row[w] & ValidMask(w, words));
-      }
-      return unset;
-    };
-    int64_t unset_bits = count_unset();
+    // performs), counted once here and then lowered by the bits each
+    // parent adds: the early-termination test is one integer compare.
+    int64_t unset_bits = 0;
+    for (int w = 0; w < words; ++w) {
+      unset_bits += PopCount(~row[w] & ValidMask(w, words));
+    }
 
     const auto neighbors = graph_.InNeighbors(f);
     const VertexId* const nb = neighbors.data();
@@ -344,18 +348,20 @@ void BitwiseRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
     // accumulate), so unset_bits > 0 until an update drives it to zero —
     // the test needs to run only when a parent adds bits, and stopping
     // there is exactly where a per-neighbor test would have stopped.
+    // Parent rows hold only valid bits, so every gained bit was one of
+    // the row's unset valid bits.
     const auto scan_one = [&](int64_t at) {
       const uint64_t* const p = parent(at);
-      uint64_t gained = 0;
+      int gained_bits = 0;
       for (int w = 0; w < words; ++w) {
-        gained |= p[w] & ~row[w];
+        gained_bits += PopCount(p[w] & ~row[w]);
         row[w] |= p[w];
       }
-      if (gained == 0) return false;
+      if (gained_bits == 0) return false;
       // Parent `at` itself was inspected at the pre-update count.
       level_inspections_ += unset_bits * (at + 1 - scan_base);
       scan_base = at + 1;
-      unset_bits = count_unset();
+      unset_bits -= gained_bits;
       changed = true;
       // Early termination: every instance has found f's parent; the
       // thread is freed for other frontiers (Section 6).
@@ -426,7 +432,7 @@ void BitwiseRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
       // The spread of these scan lengths is the warp imbalance Figure 11
       // reports; GroupBy narrows it because grouped instances fill the
       // row early and together.
-      trace_.bottom_up_search_lengths.Add(static_cast<double>(scanned));
+      trace_.bottom_up_search_lengths.Add(scanned);
     }
     scope->EndItem();
   }

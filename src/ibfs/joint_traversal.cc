@@ -260,8 +260,7 @@ int64_t JointRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
           if (options_.collect_instance_stats) {
             // Parent found after `scanned` probes: one sample of the
             // bottom-up search-length distribution (Figure 11).
-            trace_.bottom_up_search_lengths.Add(
-                static_cast<double>(scanned));
+            trace_.bottom_up_search_lengths.Add(scanned);
           }
           active[i] = active.back();
           active.pop_back();
@@ -282,7 +281,7 @@ int64_t JointRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
       // Searches that exhausted the neighbor list without finding a parent
       // also contribute their full scan length.
       for (size_t i = 0; i < active.size(); ++i) {
-        trace_.bottom_up_search_lengths.Add(static_cast<double>(scanned));
+        trace_.bottom_up_search_lengths.Add(scanned);
       }
     }
     scope->LoadContiguous(static_cast<int64_t>(graph_.in_row_offsets()[f]),

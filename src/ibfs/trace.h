@@ -37,7 +37,7 @@ struct GroupTrace {
   /// distribution's standard deviation — GroupBy shrinks it because
   /// grouped instances discover shared parents at similar positions
   /// (Section 5.3).
-  RunningStats bottom_up_search_lengths;
+  IntegerMoments bottom_up_search_lengths;
   /// Simulated seconds spent on this group.
   double sim_seconds = 0.0;
 

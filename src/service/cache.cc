@@ -208,7 +208,8 @@ void ResultCache::Drop(Shard& shard, IndexIt it) {
   shard.index.erase(it);
 }
 
-ResultCache::IndexIt ResultCache::Find(Shard& shard, graph::VertexId source) {
+ResultCache::IndexIt ResultCache::Find(Shard& shard, graph::VertexId source,
+                                       bool* quarantined) {
   auto it = shard.index.find(source);
   if (it == shard.index.end()) return it;
   const Entry& entry = *it->second;
@@ -222,6 +223,7 @@ ResultCache::IndexIt ResultCache::Find(Shard& shard, graph::VertexId source) {
     // Serving a corrupted answer would poison every future hit, so the
     // entry is dropped and the query re-executes.
     ++shard.stats.quarantined;
+    if (quarantined != nullptr) *quarantined = true;
     Drop(shard, it);
     IBFS_LOG(Warning) << "result cache quarantined corrupted entry for source "
                       << source;
@@ -231,10 +233,12 @@ ResultCache::IndexIt ResultCache::Find(Shard& shard, graph::VertexId source) {
 }
 
 std::optional<CachedDepths> ResultCache::Get(graph::VertexId source,
-                                             bool with_depths) {
+                                             bool with_depths,
+                                             bool* quarantined) {
+  if (quarantined != nullptr) *quarantined = false;
   Shard& shard = ShardFor(source);
   std::lock_guard<std::mutex> lock(shard.mu);
-  const IndexIt it = Find(shard, source);
+  const IndexIt it = Find(shard, source, quarantined);
   if (it == shard.index.end()) {
     ++shard.stats.misses;
     return std::nullopt;
@@ -276,10 +280,12 @@ void ResultCache::Put(graph::VertexId source, std::span<const uint8_t> depths,
   }
 }
 
-std::optional<CachedDepths> ResultCache::Peek(graph::VertexId source) {
+std::optional<CachedDepths> ResultCache::Peek(graph::VertexId source,
+                                              bool* quarantined) {
+  if (quarantined != nullptr) *quarantined = false;
   Shard& shard = ShardFor(source);
   std::lock_guard<std::mutex> lock(shard.mu);
-  const IndexIt it = Find(shard, source);
+  const IndexIt it = Find(shard, source, quarantined);
   if (it == shard.index.end()) return std::nullopt;
   const Entry& entry = *it->second;
   CachedDepths value{{}, entry.checksum, entry.reached};

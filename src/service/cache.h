@@ -113,9 +113,11 @@ class ResultCache {
   /// fingerprint, or seal mismatch (the latter also erases the entry and
   /// bumps `quarantined`). A hit refreshes LRU recency. Without
   /// `with_depths` a hit carries only the checksum and reached count: the
-  /// planes are sealed but not unpacked.
+  /// planes are sealed but not unpacked. A non-null `quarantined` is set
+  /// to whether this lookup quarantined the entry.
   std::optional<CachedDepths> Get(graph::VertexId source,
-                                  bool with_depths = true);
+                                  bool with_depths = true,
+                                  bool* quarantined = nullptr);
 
   /// Packs and inserts (or refreshes) the answer for `source`, then evicts
   /// least-recently-used entries until the shard fits its byte budget.
@@ -129,8 +131,10 @@ class ResultCache {
   /// Read-only lookup for replication fan-out and join warmup: returns the
   /// unpacked entry without touching LRU recency or the hit/miss counters,
   /// but still re-verifies the seal (a corrupted entry is quarantined
-  /// exactly as in Get, so replicas never receive poisoned bytes).
-  std::optional<CachedDepths> Peek(graph::VertexId source);
+  /// exactly as in Get, so replicas never receive poisoned bytes, and
+  /// reported through `quarantined` the same way).
+  std::optional<CachedDepths> Peek(graph::VertexId source,
+                                   bool* quarantined = nullptr);
 
   /// Drops one entry (replica checksum-mismatch quarantine). Returns true
   /// if an entry was present.
@@ -191,9 +195,9 @@ class ResultCache {
   static uint64_t Seal(const Entry& entry);
   /// Looks `source` up for a read: returns its index slot if present,
   /// fresh and intact; otherwise drops a stale or corrupted entry (counting
-  /// the latter as quarantined) and returns `shard.index.end()`. Caller
-  /// holds `shard.mu`.
-  IndexIt Find(Shard& shard, graph::VertexId source);
+  /// the latter as quarantined, and setting a non-null `quarantined`) and
+  /// returns `shard.index.end()`. Caller holds `shard.mu`.
+  IndexIt Find(Shard& shard, graph::VertexId source, bool* quarantined);
   /// Unlinks one resident entry and returns its bytes to the shard budget.
   static void Drop(Shard& shard, IndexIt it);
 

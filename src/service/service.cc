@@ -178,22 +178,13 @@ void BfsService::HandleSloTransition(obs::SloTransition transition,
   }
 }
 
-void BfsService::CheckQuarantineTrigger(double now_s) {
-  if (result_cache_ == nullptr) return;
-  const int64_t quarantined = result_cache_->stats().quarantined;
-  int64_t prev = last_quarantined_.load(std::memory_order_relaxed);
-  while (quarantined > prev) {
-    if (last_quarantined_.compare_exchange_weak(prev, quarantined,
-                                                std::memory_order_relaxed)) {
-      if (options_.flight != nullptr) {
-        options_.flight->RecordEvent(
-            now_s, "cache_quarantined",
-            "quarantined entries now " + std::to_string(quarantined));
-        options_.flight->Trigger("quarantine", now_s);
-      }
-      return;
-    }
-  }
+void BfsService::FireQuarantineTrigger(graph::VertexId source) const {
+  if (options_.flight == nullptr) return;
+  const double now_s = NowS();
+  options_.flight->RecordEvent(
+      now_s, "cache_quarantined",
+      "quarantined corrupted entry for source " + std::to_string(source));
+  options_.flight->Trigger("quarantine", now_s);
 }
 
 void BfsService::PublishLiveTelemetry() {
@@ -228,7 +219,11 @@ std::vector<graph::VertexId> BfsService::CachedSources() const {
 std::optional<CachedDepths> BfsService::PeekCache(
     graph::VertexId source) const {
   if (result_cache_ == nullptr) return std::nullopt;
-  return result_cache_->Peek(source);
+  bool quarantined = false;
+  std::optional<CachedDepths> value =
+      result_cache_->Peek(source, &quarantined);
+  if (quarantined) FireQuarantineTrigger(source);
+  return value;
 }
 
 bool BfsService::WarmCache(graph::VertexId source, const CachedDepths& value) {
@@ -343,8 +338,9 @@ std::future<QueryResult> BfsService::Submit(graph::VertexId source) {
       }
     }
     const auto submitted = Clock::now();
+    bool quarantined = false;
     std::optional<CachedDepths> hit =
-        result_cache_->Get(source, options_.keep_depths);
+        result_cache_->Get(source, options_.keep_depths, &quarantined);
     if (hit.has_value()) {
       QueryResult result;
       result.source = source;
@@ -391,7 +387,7 @@ std::future<QueryResult> BfsService::Submit(graph::VertexId source) {
           {obs::Arg("source", static_cast<int64_t>(source))});
     }
     // A miss may also have quarantined a corrupted entry in place.
-    CheckQuarantineTrigger(NowS());
+    if (quarantined) FireQuarantineTrigger(source);
   }
   {
     std::unique_lock<std::mutex> lock(mu_);

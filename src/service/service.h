@@ -329,9 +329,9 @@ class BfsService {
   /// transition), and the flight recorder.
   void RecordCompletion(const QueryResult& result);
   void HandleSloTransition(obs::SloTransition transition, double now_s);
-  /// Dumps a flight record when the result cache quarantined an entry
-  /// since the last check.
-  void CheckQuarantineTrigger(double now_s);
+  /// Records the event and dumps a flight record: a cache lookup just
+  /// quarantined the corrupted entry for `source`.
+  void FireQuarantineTrigger(graph::VertexId source) const;
   /// Sets the cache.hit_ratio gauge from the admission lookup counters.
   void PublishHitRatio();
 
@@ -352,8 +352,6 @@ class BfsService {
 
   /// Rolling-window qps/error/latency behind the live.* gauges.
   obs::LiveStats live_stats_;
-  /// Last cache-quarantine count seen, for the flight trigger.
-  std::atomic<int64_t> last_quarantined_{0};
   /// Result-cache lookups made at admission, behind cache.hit_ratio.
   std::atomic<int64_t> lookup_hits_{0};
   std::atomic<int64_t> lookup_misses_{0};

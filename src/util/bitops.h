@@ -10,20 +10,13 @@ namespace ibfs {
 /// ballot primitives. All are header-inline; they sit on the hottest path of
 /// the bitwise traversal.
 
-/// Number of set bits. Without a hardware popcount in the target (the
-/// default x86-64 build has no -mpopcnt), std::popcount compiles to a
-/// libgcc call, which in the bitwise kernels' loops costs more than this
-/// inline SWAR reduction.
-inline int PopCount(uint64_t word) {
-#if defined(__POPCNT__)
-  return std::popcount(word);
-#else
-  word -= (word >> 1) & 0x5555555555555555ULL;
-  word = (word & 0x3333333333333333ULL) + ((word >> 2) & 0x3333333333333333ULL);
-  word = (word + (word >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
-  return static_cast<int>((word * 0x0101010101010101ULL) >> 56);
-#endif
-}
+/// Number of set bits: one POPCNT instruction. src/CMakeLists.txt sets
+/// -mpopcnt PUBLIC on ibfs_util wherever the compiler accepts it, so every
+/// target inlines the same instruction (without it, std::popcount on
+/// x86-64 is a libgcc call, and BitOpsTest.HardwarePopCountOnX86 fails).
+/// Compilers for other targets reject the flag; there std::popcount
+/// lowers to whatever bit count the target's baseline offers.
+inline int PopCount(uint64_t word) { return std::popcount(word); }
 
 /// Index (0-based, from LSB) of the lowest set bit. Precondition: word != 0.
 inline int LowestSetBit(uint64_t word) { return std::countr_zero(word); }

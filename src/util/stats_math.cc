@@ -26,6 +26,16 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
+double IntegerMoments::stddev() const {
+  if (count_ == 0) return 0.0;
+  // n^2 * variance = n * sum(x^2) - sum(x)^2, exact in 128 bits; only the
+  // final conversion and division round.
+  const __int128 n = count_;
+  const __int128 scaled = n * sum_squares_ - static_cast<__int128>(sum_) * sum_;
+  const double n_d = static_cast<double>(count_);
+  return std::sqrt(static_cast<double>(scaled) / (n_d * n_d));
+}
+
 double StdDev(std::span<const double> values) {
   RunningStats s;
   for (double v : values) s.Add(v);

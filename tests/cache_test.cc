@@ -6,6 +6,7 @@
 // of executor width and injected faults. Every suite name starts with
 // "Cache" so the tsan preset's test filter picks all of it up.
 #include <algorithm>
+#include <cstdio>
 #include <future>
 #include <map>
 #include <numeric>
@@ -18,6 +19,8 @@
 #include "graph/builder.h"
 #include "graph/components.h"
 #include "graph/partition.h"
+#include "obs/flight.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "service/cache.h"
 #include "service/service.h"
@@ -526,6 +529,59 @@ TEST(CacheServiceTest, QuarantinedEntryIsReexecutedCorrectly) {
   EXPECT_EQ(again[0].depths, first[0].depths);
   svc.value()->Shutdown();
   EXPECT_EQ(svc.value()->cache_stats().quarantined, 1);
+}
+
+TEST(CacheServiceTest, EachQuarantineFiresFlightTriggerOnce) {
+  const graph::Csr graph = MakeRmatGraph(8, 8);
+  const std::vector<graph::VertexId> sources =
+      graph::SampleConnectedSources(graph, 4, 7);
+  obs::FlightRecorder::Options flight_options;
+  flight_options.dump_path =
+      ::testing::TempDir() + "/cache_quarantine_flight_test.json";
+  flight_options.min_dump_interval_s = 0.0;  // every trigger dumps
+  std::remove(flight_options.dump_path.c_str());
+  obs::FlightRecorder flight(flight_options);
+  ServiceOptions options = CachedServiceOptions();
+  options.flight = &flight;
+  auto svc = BfsService::Create(&graph, options);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+
+  // Plain misses and hits never fire the trigger.
+  const auto first = SubmitAll(svc.value().get(), sources);
+  for (const QueryResult& r : first) ASSERT_TRUE(r.status.ok());
+  SubmitAll(svc.value().get(), sources);
+  EXPECT_EQ(flight.dumps(), 0);
+
+  ASSERT_TRUE(
+      svc.value()->result_cache_for_test()->CorruptEntryForTest(sources[0]));
+  const auto again = SubmitAll(svc.value().get(), {sources[0]});
+  ASSERT_TRUE(again[0].status.ok()) << again[0].status.ToString();
+  EXPECT_FALSE(again[0].cached);
+  EXPECT_EQ(again[0].depth_checksum, first[0].depth_checksum);
+  // The re-executed answer is cached again: later lookups hit, and the
+  // trigger stays at the one quarantine.
+  const auto later = SubmitAll(svc.value().get(), sources);
+  EXPECT_TRUE(later[0].cached);
+  EXPECT_EQ(later[0].depth_checksum, first[0].depth_checksum);
+  EXPECT_EQ(flight.dumps(), 1);
+  // A replica read (PeekCache) that quarantines fires it too.
+  ASSERT_TRUE(
+      svc.value()->result_cache_for_test()->CorruptEntryForTest(sources[1]));
+  EXPECT_FALSE(svc.value()->PeekCache(sources[1]).has_value());
+  EXPECT_EQ(flight.dumps(), 2);
+  svc.value()->Shutdown();
+  EXPECT_EQ(svc.value()->cache_stats().quarantined, 2);
+
+  auto dump = obs::ParseJsonFile(flight_options.dump_path);
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  EXPECT_EQ(dump.value().Find("trigger")->string_value(), "quarantine");
+  int quarantine_events = 0;
+  for (const obs::JsonValue& event : dump.value().Find("events")->array()) {
+    quarantine_events += event.Find("name")->string_value() ==
+                         "cache_quarantined";
+  }
+  EXPECT_EQ(quarantine_events, 2);
+  std::remove(flight_options.dump_path.c_str());
 }
 
 TEST(CacheServiceTest, InvalidateClearsBothCaches) {

@@ -398,7 +398,9 @@ TEST(ServiceWorkloadTest, GenerationIsDeterministicAndOrdered) {
       EXPECT_EQ(a.value()[i].at_s, b.value()[i].at_s);
       EXPECT_EQ(a.value()[i].source, b.value()[i].source);
       EXPECT_LT(a.value()[i].source, graph.vertex_count());
-      if (i > 0) EXPECT_GE(a.value()[i].at_s, a.value()[i - 1].at_s);
+      if (i > 0) {
+        EXPECT_GE(a.value()[i].at_s, a.value()[i - 1].at_s);
+      }
       EXPECT_LT(a.value()[i].at_s, options.duration_s);
     }
   }

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -116,14 +115,40 @@ TEST(BitopsTest, PopCountAndLowestSetBit) {
   EXPECT_EQ(PopCount(~uint64_t{0}), 64);
   EXPECT_EQ(PopCount(0b1011), 3);
   EXPECT_EQ(PopCount(uint64_t{1} << 63), 1);
-  // PopCount may be the inline SWAR form; it must agree with the library.
-  Prng prng(11);
-  for (int i = 0; i < 1000; ++i) {
-    const uint64_t word = prng.Next() & prng.Next();
-    EXPECT_EQ(PopCount(word), std::popcount(word));
-  }
   EXPECT_EQ(LowestSetBit(0b1000), 3);
   EXPECT_EQ(LowestSetBit(uint64_t{1} << 63), 63);
+}
+
+int BitLoopCount(uint64_t word) {
+  int count = 0;
+  for (int i = 0; i < 64; ++i) count += static_cast<int>((word >> i) & 1);
+  return count;
+}
+
+TEST(BitOpsTest, PopCountMatchesBitLoop) {
+  EXPECT_EQ(PopCount(0), BitLoopCount(0));
+  EXPECT_EQ(PopCount(~uint64_t{0}), BitLoopCount(~uint64_t{0}));
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(PopCount(uint64_t{1} << i), 1) << "bit " << i;
+  }
+  for (const uint64_t word :
+       {0x5555555555555555ULL, 0xaaaaaaaaaaaaaaaaULL, 0x3333333333333333ULL,
+        0xccccccccccccccccULL, 0x0f0f0f0f0f0f0f0fULL, 0xf0f0f0f0f0f0f0f0ULL}) {
+    EXPECT_EQ(PopCount(word), BitLoopCount(word)) << std::hex << word;
+  }
+  Prng prng(11);
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t word = prng.Next();
+    EXPECT_EQ(PopCount(word), BitLoopCount(word)) << std::hex << word;
+  }
+}
+
+// src/CMakeLists.txt sets -mpopcnt on every x86-64 build; without it the
+// bitwise kernels' PopCount silently becomes a library call.
+TEST(BitOpsTest, HardwarePopCountOnX86) {
+#if defined(__x86_64__) && !defined(__POPCNT__)
+  FAIL() << "x86-64 build without -mpopcnt: PopCount is not one POPCNT";
+#endif
 }
 
 TEST(BitopsTest, MasksAndBits) {
@@ -156,6 +181,34 @@ TEST(StatsMathTest, RunningStatsBasics) {
   EXPECT_DOUBLE_EQ(s.max(), 6.0);
   EXPECT_DOUBLE_EQ(s.sum(), 12.0);
   EXPECT_NEAR(s.stddev(), std::sqrt(8.0 / 3.0), 1e-12);
+}
+
+// IntegerMoments must report what RunningStats reports for the same
+// integer series: count, sum, min and max exactly, stddev to 1e-12.
+void ExpectMomentsMatch(const std::vector<int64_t>& series) {
+  IntegerMoments moments;
+  RunningStats reference;
+  for (int64_t x : series) {
+    moments.Add(x);
+    reference.Add(static_cast<double>(x));
+  }
+  EXPECT_EQ(moments.count(), reference.count());
+  EXPECT_EQ(static_cast<double>(moments.sum()), reference.sum());
+  EXPECT_EQ(static_cast<double>(moments.min()), reference.min());
+  EXPECT_EQ(static_cast<double>(moments.max()), reference.max());
+  EXPECT_NEAR(moments.stddev(), reference.stddev(),
+              1e-12 * reference.stddev());
+}
+
+TEST(StatsMathTest, IntegerMomentsMatchRunningStats) {
+  ExpectMomentsMatch({});
+  ExpectMomentsMatch({37});
+  Prng prng(5);
+  std::vector<int64_t> series;
+  for (int i = 0; i < 10000; ++i) {
+    series.push_back(static_cast<int64_t>(prng.NextBounded(4097)));
+  }
+  ExpectMomentsMatch(series);
 }
 
 TEST(StatsMathTest, StdDevMatchesClosedForm) {
