@@ -2,6 +2,7 @@
 #include <vector>
 
 #include "baselines/cpu_bfs.h"
+#include "ibfs/level_driver.h"
 #include "ibfs/status_array.h"
 #include "util/bitops.h"
 
@@ -53,14 +54,12 @@ Result<CpuRunResult> RunCpuIbfs(const graph::Csr& graph,
     return (r[words - 1] & last_mask) == last_mask;
   };
 
-  int64_t frontier_edges = 0;
   int64_t unexplored_edges = static_cast<int64_t>(n) * graph.edge_count();
   for (int j = 0; j < n; ++j) {
     const VertexId s = sources[j];
     if (std::find(jfq.begin(), jfq.end(), s) == jfq.end()) jfq.push_back(s);
     row(cur, s)[j / 64] |= Bit(j % 64);
     result.depths[j][s] = 0;
-    frontier_edges += graph.OutDegree(s);
     unexplored_edges -= graph.OutDegree(s);
   }
   prev = cur;
@@ -141,22 +140,8 @@ Result<CpuRunResult> RunCpuIbfs(const graph::Csr& graph,
 
     if (new_pairs == 0) break;
     unexplored_edges -= next_frontier_edges;
-    frontier_edges = next_frontier_edges;
-
-    if (!options.force_top_down) {
-      if (!bottom_up && frontier_edges >
-                            static_cast<int64_t>(
-                                static_cast<double>(unexplored_edges) /
-                                options.alpha)) {
-        bottom_up = true;
-      } else if (bottom_up &&
-                 new_pairs < static_cast<int64_t>(
-                                 static_cast<double>(n) *
-                                 static_cast<double>(v_count) /
-                                 options.beta)) {
-        bottom_up = false;
-      }
-    }
+    bottom_up = NextBottomUp(bottom_up, next_frontier_edges, unexplored_edges,
+                             new_pairs, n * v_count, options);
 
     // Joint frontier identification (XOR / NOT scans) + BSA copy.
     cpu->SequentialBytes(3 * static_cast<int64_t>(cur.size()) * 8);

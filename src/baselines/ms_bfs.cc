@@ -2,6 +2,7 @@
 #include <vector>
 
 #include "baselines/cpu_bfs.h"
+#include "ibfs/level_driver.h"
 #include "ibfs/status_array.h"
 #include "util/bitops.h"
 
@@ -60,14 +61,12 @@ Result<CpuRunResult> RunMsBfs(const graph::Csr& graph,
   BitRows visit(v_count, words);
   BitRows visit_next(v_count, words);
 
-  int64_t frontier_edges = 0;
   int64_t unexplored_edges = static_cast<int64_t>(n) * graph.edge_count();
   for (int j = 0; j < n; ++j) {
     const VertexId s = sources[j];
     seen.Row(s)[j / 64] |= Bit(j % 64);
     visit.Row(s)[j / 64] |= Bit(j % 64);
     result.depths[j][s] = 0;
-    frontier_edges += graph.OutDegree(s);
     unexplored_edges -= graph.OutDegree(s);
   }
 
@@ -161,7 +160,6 @@ Result<CpuRunResult> RunMsBfs(const graph::Csr& graph,
 
     if (new_pairs == 0) break;
     unexplored_edges -= next_frontier_edges;
-    frontier_edges = next_frontier_edges;
 
     // Level change: visit <- visitNext, visitNext <- 0. This per-level
     // rebuild is the "reset" Section 6 contrasts with iBFS's cumulative
@@ -170,20 +168,8 @@ Result<CpuRunResult> RunMsBfs(const graph::Csr& graph,
     visit_next.Clear();
     cpu->SequentialBytes(2 * visit.bytes());
 
-    if (!options.force_top_down) {
-      if (!bottom_up && frontier_edges >
-                            static_cast<int64_t>(
-                                static_cast<double>(unexplored_edges) /
-                                options.alpha)) {
-        bottom_up = true;
-      } else if (bottom_up &&
-                 new_pairs < static_cast<int64_t>(
-                                 static_cast<double>(n) *
-                                 static_cast<double>(v_count) /
-                                 options.beta)) {
-        bottom_up = false;
-      }
-    }
+    bottom_up = NextBottomUp(bottom_up, next_frontier_edges, unexplored_edges,
+                             new_pairs, n * v_count, options);
   }
 
   result.seconds = cpu->Seconds() - seconds_before;

@@ -3,7 +3,7 @@
 
 #include "gpusim/warp.h"
 #include "ibfs/bitwise_status_array.h"
-#include "ibfs/level_observer.h"
+#include "ibfs/level_driver.h"
 #include "ibfs/status_array.h"
 #include "ibfs/strategies.h"
 #include "util/bitops.h"
@@ -19,43 +19,41 @@ using graph::VertexId;
 // serial parent scan — the imbalance Figure 11 measures.
 constexpr int64_t kExpandChunk = 256;
 
-// Bitwise iBFS (Section 6): the status of a vertex for all N instances is
-// packed into ceil(N/64) words, so a single thread inspects a vertex for
-// the whole group with a couple of OR instructions (Algorithm 1), and
-// frontier identification is XOR / NOT over whole rows (Algorithm 2).
+// Bitwise iBFS kernel (Section 6): the status of a vertex for all N
+// instances is packed into ceil(N/64) words, so a single thread inspects a
+// vertex for the whole group with a couple of OR instructions (Algorithm
+// 1), and frontier identification is XOR / NOT over whole rows (Algorithm
+// 2).
 // Because the array accumulates *all* visited bits across levels, bottom-up
 // inspection can stop as soon as a frontier's row is all ones — the early
-// termination that MS-BFS's per-level reset forecloses.
+// termination that MS-BFS's per-level reset forecloses. LevelDriver runs
+// its levels.
 //
 // Accounting discipline: the inner loops charge nothing per neighbor —
 // they count events in plain integers and flush through the scope's Bulk*
 // / LoadRuns entry points at every item boundary, so the batched totals
 // (and therefore max_item_cycles and the simulated seconds) are
 // bit-identical to the former one-call-per-neighbor accounting.
-class BitwiseRunner {
+//
+// The kernel is templated on the row width: kW = 1 or 2 (groups of up to 64
+// or 128 instances) compiles to fixed-width word loops, kW = 0 reads the
+// runtime words_. RunBitwiseGroup picks the instantiation once per group,
+// so no per-neighbor code branches on the width.
+template <int kW>
+class BitwiseKernel {
  public:
-  BitwiseRunner(const graph::Csr& graph,
+  BitwiseKernel(const graph::Csr& graph,
                 std::span<const graph::VertexId> sources,
-                const TraversalOptions& options, gpusim::Device* device)
-      : graph_(graph),
-        options_(options),
-        device_(device),
-        n_(static_cast<int>(sources.size())),
-        words_(static_cast<int>(CeilDiv(static_cast<uint64_t>(n_), 64))),
-        cur_(graph.vertex_count(), n_),
-        prev_(graph.vertex_count(), n_),
-        sources_(sources.begin(), sources.end()),
-        td_phase_(device->InternPhase("td_inspect")),
-        bu_phase_(device->InternPhase("bu_inspect")),
-        fq_phase_(device->InternPhase("fq_gen")),
-        changed_rows_bm_(
-            CeilDiv(static_cast<uint64_t>(graph.vertex_count()), 64), 0) {}
+                const TraversalOptions& options, gpusim::Device* device);
 
-  GroupResult Run();
+  int64_t queue_size() const { return static_cast<int64_t>(jfq_.size()); }
+  int64_t TopDown(int level, gpusim::KernelScope* scope);
+  int64_t BottomUp(int level, gpusim::KernelScope* scope);
+  LevelSweep Sweep(int level, gpusim::KernelScope* scope);
+  int64_t BuildQueue(bool bottom_up, int level, gpusim::KernelScope* scope);
+  void Export(GroupResult* result);
 
  private:
-  void InitSources();
-
   // Re-establishes prev_ == cur_ after a level: swaps the buffers (prev_
   // then holds the up-to-date state) and patches cur_'s stale rows — only
   // `changed` rows can differ, because every mutation this level happened
@@ -69,24 +67,7 @@ class BitwiseRunner {
     }
   }
 
-  // Every phase is one kernel templated on the row width: kW = 1 or 2
-  // (groups of up to 64 or 128 instances) compiles to fixed-width word
-  // loops, kW = 0 reads the runtime words_. Run() picks the instantiation
-  // once per group, so no per-neighbor code branches on the width.
-  template <int kW>
-  void RunLevels();
-  template <int kW>
-  void RunTopDownLevel(gpusim::KernelScope* scope);
-  template <int kW>
-  void RunBottomUpLevel(gpusim::KernelScope* scope);
-  template <int kW>
-  void GenerateFrontier(gpusim::KernelScope* scope);
-  void ChooseDirection();
-
-  template <int kW>
-  int Words() const {
-    return kW != 0 ? kW : words_;
-  }
+  int Words() const { return kW != 0 ? kW : words_; }
   // Valid bits of word w in a `words`-word row.
   uint64_t ValidMask(int w, int words) const {
     return w + 1 == words ? cur_.LastWordMask() : ~uint64_t{0};
@@ -105,10 +86,6 @@ class BitwiseRunner {
   const int words_;
   BitwiseStatusArray cur_;
   BitwiseStatusArray prev_;
-  std::vector<VertexId> sources_;
-  const gpusim::PhaseId td_phase_;
-  const gpusim::PhaseId bu_phase_;
-  const gpusim::PhaseId fq_phase_;
   std::vector<VertexId> jfq_;
   std::vector<uint64_t> jfq_masks_;
   // Scratch for the fused frontier-generation sweep: the speculative
@@ -124,6 +101,9 @@ class BitwiseRunner {
   std::vector<VertexId> bu_next_jfq_;
   std::vector<uint64_t> bu_next_masks_;
   int64_t bu_private_sum_ = 0;
+  // Whether the level just inspected ran bottom-up, i.e. whether the
+  // bottom-up candidate queue above is the current one.
+  bool bu_queue_ready_ = false;
   // One bit per vertex, set by the level kernels the moment a row gains a
   // bit. The frontier sweep walks only these rows (in ascending vertex
   // order, same as a full scan) instead of XOR-scanning all V*words words;
@@ -133,28 +113,30 @@ class BitwiseRunner {
   // Depth matrix in vertex-major order, depth of (v, j) at [v*n_ + j]:
   // the fused sweep discovers new bits row by row, so recording a row's
   // depths touches adjacent bytes instead of n_ distinct per-instance
-  // arrays. Transposed into GroupResult's instance-major layout once at
-  // the end of Run.
+  // arrays. Transposed into GroupResult's instance-major layout once in
+  // Export.
   std::vector<uint8_t> depth_matrix_;
-  GroupTrace trace_;
-
-  int level_ = 1;
-  bool bottom_up_ = false;
-  bool finished_ = false;
+  IntegerMoments search_lengths_;
   // (vertex, instance) pairs discovered at the level that just ran,
   // counted once by the fused sweep (the level kernels never popcount
   // their updates for it).
-  int64_t level_new_visits_ = 0;
-  int64_t level_inspections_ = 0;
-  int64_t pending_private_fq_sum_ = 0;
-  // Σ outdegrees of the (vertex, instance) pairs discovered at the level
-  // that just ran — the candidate top-down frontier edge count.
-  int64_t new_frontier_edges_ = 0;
-  int64_t unexplored_edges_ = 0;
+  int64_t new_visits_ = 0;
 };
 
-void BitwiseRunner::InitSources() {
-  unexplored_edges_ = static_cast<int64_t>(n_) * graph_.edge_count();
+template <int kW>
+BitwiseKernel<kW>::BitwiseKernel(const graph::Csr& graph,
+                                 std::span<const graph::VertexId> sources,
+                                 const TraversalOptions& options,
+                                 gpusim::Device* device)
+    : graph_(graph),
+      options_(options),
+      device_(device),
+      n_(static_cast<int>(sources.size())),
+      words_(static_cast<int>(CeilDiv(static_cast<uint64_t>(n_), 64))),
+      cur_(graph.vertex_count(), n_),
+      prev_(graph.vertex_count(), n_),
+      changed_rows_bm_(
+          CeilDiv(static_cast<uint64_t>(graph.vertex_count()), 64), 0) {
   // Queue entries are unique vertices, so V (and V*words for the masks)
   // bounds every frontier vector; reserving once spares the hot push_back
   // paths all reallocation for the rest of the run.
@@ -171,7 +153,7 @@ void BitwiseRunner::InitSources() {
         static_cast<size_t>(graph_.vertex_count()) * n_, kUnvisitedDepth);
   }
   for (int j = 0; j < n_; ++j) {
-    const VertexId s = sources_[j];
+    const VertexId s = sources[j];
     if (cur_.RowAllClear(s)) {
       jfq_.push_back(s);
       jfq_masks_.resize(jfq_masks_.size() + words_, 0);
@@ -180,8 +162,6 @@ void BitwiseRunner::InitSources() {
     if (options_.record_depths) {
       depth_matrix_[static_cast<size_t>(s) * n_ + j] = 0;
     }
-    new_frontier_edges_ += graph_.OutDegree(s);
-    unexplored_edges_ -= graph_.OutDegree(s);
   }
   // Source share masks: all bits the source holds in cur_.
   for (size_t i = 0; i < jfq_.size(); ++i) {
@@ -189,12 +169,14 @@ void BitwiseRunner::InitSources() {
     std::copy(row.begin(), row.end(), jfq_masks_.begin() + i * words_);
   }
   prev_.CopyFrom(cur_);
-  pending_private_fq_sum_ = n_;
 }
 
 template <int kW>
-void BitwiseRunner::RunTopDownLevel(gpusim::KernelScope* scope) {
-  const int words = Words<kW>();
+int64_t BitwiseKernel<kW>::TopDown(int /*level*/,
+                                   gpusim::KernelScope* scope) {
+  const int words = Words();
+  bu_queue_ready_ = false;
+  int64_t inspections = 0;
   if (options_.adjacency_cache) {
     scope->SetCtaSharedBytes(options_.cache_tile_bytes);
   }
@@ -291,16 +273,19 @@ void BitwiseRunner::RunTopDownLevel(gpusim::KernelScope* scope) {
       }
     }
     flush_chunk();
-    level_inspections_ +=
-        static_cast<int64_t>(share_count) *
-        static_cast<int64_t>(neighbors.size());
+    inspections += static_cast<int64_t>(share_count) *
+                   static_cast<int64_t>(neighbors.size());
     scope->EndItem();
   }
+  return inspections;
 }
 
 template <int kW>
-void BitwiseRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
-  const int words = Words<kW>();
+int64_t BitwiseKernel<kW>::BottomUp(int /*level*/,
+                                    gpusim::KernelScope* scope) {
+  const int words = Words();
+  bu_queue_ready_ = true;
+  int64_t inspections = 0;
   const bool can_terminate_early =
       options_.early_termination && !options_.msbfs_reset;
   bu_next_jfq_.clear();
@@ -359,7 +344,7 @@ void BitwiseRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
       }
       if (gained_bits == 0) return false;
       // Parent `at` itself was inspected at the pre-update count.
-      level_inspections_ += unset_bits * (at + 1 - scan_base);
+      inspections += unset_bits * (at + 1 - scan_base);
       scan_base = at + 1;
       unset_bits -= gained_bits;
       changed = true;
@@ -391,7 +376,7 @@ void BitwiseRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
     }
     for (; !terminated && idx < n_nbrs; ++idx) terminated = scan_one(idx);
     const int64_t scanned = idx;
-    level_inspections_ += unset_bits * (scanned - scan_base);
+    inspections += unset_bits * (scanned - scan_base);
 
     if (unset_bits > 0) {
       // Row f is still unsaturated: it stays on the bottom-up frontier.
@@ -432,40 +417,21 @@ void BitwiseRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
       // The spread of these scan lengths is the warp imbalance Figure 11
       // reports; GroupBy narrows it because grouped instances fill the
       // row early and together.
-      trace_.bottom_up_search_lengths.Add(scanned);
+      search_lengths_.Add(scanned);
     }
     scope->EndItem();
   }
-}
-
-void BitwiseRunner::ChooseDirection() {
-  if (options_.force_top_down) {
-    bottom_up_ = false;
-    return;
-  }
-  const int64_t n_pairs = static_cast<int64_t>(n_) * graph_.vertex_count();
-  if (!bottom_up_) {
-    if (new_frontier_edges_ >
-        static_cast<int64_t>(static_cast<double>(unexplored_edges_) /
-                             options_.alpha)) {
-      bottom_up_ = true;
-    }
-  } else {
-    if (level_new_visits_ <
-        static_cast<int64_t>(static_cast<double>(n_pairs) / options_.beta)) {
-      bottom_up_ = false;
-    }
-  }
+  return inspections;
 }
 
 template <int kW>
-void BitwiseRunner::GenerateFrontier(gpusim::KernelScope* scope) {
-  const int words = Words<kW>();
+LevelSweep BitwiseKernel<kW>::Sweep(int level, gpusim::KernelScope* scope) {
+  const int words = Words();
   const int64_t n_vertices = graph_.vertex_count();
 
   // Fused sweep — newly visited bits (XOR of the level's BSAs,
-  // Algorithm 2): one pass records depths, counts the level's new visits,
-  // updates the direction-heuristic accumulators, AND builds the candidate
+  // Algorithm 2): one pass records depths, counts the level's new visits
+  // and their out-edges for the direction rule, AND builds the candidate
   // top-down JFQ. This used to be two full O(V*words) sweeps (the second
   // recomputed every XOR after the direction choice); the direction
   // cannot be chosen mid-sweep, so the top-down queue is built
@@ -475,12 +441,11 @@ void BitwiseRunner::GenerateFrontier(gpusim::KernelScope* scope) {
   scope->LoadContiguous(0, n_vertices * words, 8);
   scope->LoadContiguous(0, n_vertices * words, 8);
   scope->Compute(n_vertices * words);
-  new_frontier_edges_ = 0;
   next_jfq_.clear();
   next_masks_.clear();
   // Σ popcount(cur ^ prev): the level's new visits, which is also the
   // top-down private frontier sum.
-  level_new_visits_ = 0;
+  LevelSweep sweep;
   // The level kernels marked every row they changed in changed_rows_bm_,
   // so the host walks exactly those rows (ascending vertex order — the
   // order a flat scan would visit them) instead of XOR-scanning all
@@ -510,16 +475,15 @@ void BitwiseRunner::GenerateFrontier(gpusim::KernelScope* scope) {
           while (diff != 0) {
             const int bit = LowestSetBit(diff);
             diff &= diff - 1;
-            depth_row[w * 64 + bit] = static_cast<uint8_t>(level_);
+            depth_row[w * 64 + bit] = static_cast<uint8_t>(level);
           }
         }
       }
       // new_bits > 0 by construction: this row contains a changed word.
-      const int64_t d = graph_.OutDegree(vid);
-      new_frontier_edges_ += static_cast<int64_t>(new_bits) * d;
-      unexplored_edges_ -= static_cast<int64_t>(new_bits) * d;
+      sweep.frontier_edges +=
+          static_cast<int64_t>(new_bits) * graph_.OutDegree(vid);
       next_jfq_.push_back(vid);
-      level_new_visits_ += new_bits;
+      sweep.new_visits += new_bits;
       if (options_.record_depths) {
         // Depth write-out: one coalesced store touching v's depth row.
         scope->StoreContiguous(static_cast<int64_t>(v) * n_, new_bits, 1);
@@ -527,27 +491,28 @@ void BitwiseRunner::GenerateFrontier(gpusim::KernelScope* scope) {
     }
   }
 
-  // Depths are recorded above even when terminating, so a max_level
-  // truncation (the k-hop reachability workload) keeps its last level.
-  if (level_new_visits_ == 0 || level_ >= options_.max_level) {
-    finished_ = true;
-    jfq_.clear();
-    SyncShadow(next_jfq_);
-    return;
-  }
+  // Depths are recorded above even when the driver stops here, so a
+  // max_level truncation (the k-hop reachability workload) keeps its last
+  // level.
+  new_visits_ = sweep.new_visits;
+  return sweep;
+}
 
-  const bool was_bottom_up = bottom_up_;
-  ChooseDirection();
-
+template <int kW>
+int64_t BitwiseKernel<kW>::BuildQueue(bool bottom_up, int /*level*/,
+                                      gpusim::KernelScope* scope) {
+  const int words = Words();
+  const int64_t n_vertices = graph_.vertex_count();
+  const uint64_t* const cw = cur_.Words().data();
   int64_t private_sum = 0;
-  if (!bottom_up_) {
+  if (!bottom_up) {
     // Top-down frontier: any bit changed this level (XOR != 0) — exactly
     // the queue the fused sweep built. Swapping keeps the old vectors as
     // scratch capacity for the next level.
     jfq_.swap(next_jfq_);
     jfq_masks_.swap(next_masks_);
-    private_sum = level_new_visits_;
-  } else if (was_bottom_up) {
+    private_sum = new_visits_;
+  } else if (bu_queue_ready_) {
     // Bottom-up again: the level just run already recorded every row that
     // stayed unsaturated (rows only gain bits, so no vertex outside the
     // old queue can have become a candidate). Same queue, same masks, same
@@ -585,7 +550,7 @@ void BitwiseRunner::GenerateFrontier(gpusim::KernelScope* scope) {
   // the whole array (charged below); the host gets away with a buffer swap
   // plus re-copying only the rows this level changed — the list the fused
   // sweep just built (swapped into jfq_ when top-down won).
-  SyncShadow(bottom_up_ ? next_jfq_ : jfq_);
+  SyncShadow(bottom_up ? next_jfq_ : jfq_);
   scope->LoadContiguous(0, n_vertices * words, 8);
   scope->StoreContiguous(0, n_vertices * words, 8);
   if (options_.msbfs_reset) {
@@ -593,71 +558,25 @@ void BitwiseRunner::GenerateFrontier(gpusim::KernelScope* scope) {
     // store (and the loss of early termination, handled in bottom-up).
     scope->StoreContiguous(0, n_vertices * words, 8);
   }
-
-  pending_private_fq_sum_ = private_sum;
-  if (jfq_.empty()) finished_ = true;
-  ++level_;
+  return private_sum;
 }
 
 template <int kW>
-void BitwiseRunner::RunLevels() {
-  LevelObserver level_observer(options_.observer, device_);
-  while (!finished_) {
-    LevelTrace lt;
-    lt.level = level_;
-    lt.bottom_up = bottom_up_;
-    lt.jfq_size = static_cast<int64_t>(jfq_.size());
-    lt.private_fq_sum = pending_private_fq_sum_;
-    level_observer.LevelStart(lt.jfq_size);
-    level_inspections_ = 0;
-    {
-      auto scope = device_->BeginKernel(bottom_up_ ? bu_phase_ : td_phase_);
-      if (bottom_up_) {
-        RunBottomUpLevel<kW>(&scope);
-      } else {
-        RunTopDownLevel<kW>(&scope);
-      }
-    }
-    {
-      auto scope = device_->BeginKernel(fq_phase_);
-      GenerateFrontier<kW>(&scope);
-    }
-    lt.edges_inspected = level_inspections_;
-    lt.new_visits = level_new_visits_;
-    level_observer.LevelEnd(lt, bottom_up_, finished_);
-    trace_.levels.push_back(lt);
-  }
-}
-
-GroupResult BitwiseRunner::Run() {
-  InitSources();
-  switch (words_) {
-    case 1:
-      RunLevels<1>();
-      break;
-    case 2:
-      RunLevels<2>();
-      break;
-    default:
-      RunLevels<0>();
-      break;
-  }
-
-  GroupResult result;
-  result.trace = std::move(trace_);
-  result.trace.instance_count = n_;
+void BitwiseKernel<kW>::Export(GroupResult* result) {
+  result->trace.instance_count = n_;
+  result->trace.bottom_up_search_lengths = search_lengths_;
   if (options_.record_depths) {
     // Blocked transpose of the vertex-major depth matrix into the
     // instance-major result layout: a 64-vertex block's rows (<= 4 KiB for
     // group sizes up to 64) stay cached across all n_ output columns.
     const int64_t n_vertices = graph_.vertex_count();
-    result.depths.assign(
+    result->depths.assign(
         n_, std::vector<uint8_t>(static_cast<size_t>(n_vertices)));
     constexpr int64_t kBlock = 64;
     for (int64_t v0 = 0; v0 < n_vertices; v0 += kBlock) {
       const int64_t v1 = std::min(n_vertices, v0 + kBlock);
       for (int j = 0; j < n_; ++j) {
-        uint8_t* const out = result.depths[j].data();
+        uint8_t* const out = result->depths[j].data();
         const uint8_t* const in = depth_matrix_.data() + j;
         for (int64_t v = v0; v < v1; ++v) {
           out[v] = in[static_cast<size_t>(v) * n_];
@@ -665,7 +584,6 @@ GroupResult BitwiseRunner::Run() {
       }
     }
   }
-  return result;
 }
 
 }  // namespace
@@ -674,8 +592,14 @@ Result<GroupResult> RunBitwiseGroup(const graph::Csr& graph,
                                     std::span<const graph::VertexId> sources,
                                     const TraversalOptions& options,
                                     gpusim::Device* device) {
-  BitwiseRunner runner(graph, sources, options, device);
-  return runner.Run();
+  switch (CeilDiv(static_cast<uint64_t>(sources.size()), 64)) {
+    case 1:
+      return DriveGroup<BitwiseKernel<1>>(graph, sources, options, device);
+    case 2:
+      return DriveGroup<BitwiseKernel<2>>(graph, sources, options, device);
+    default:
+      return DriveGroup<BitwiseKernel<0>>(graph, sources, options, device);
+  }
 }
 
 }  // namespace ibfs::internal_strategies

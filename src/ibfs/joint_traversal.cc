@@ -1,11 +1,10 @@
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "gpusim/warp.h"
 #include "ibfs/frontier_queue.h"
-#include "ibfs/level_observer.h"
+#include "ibfs/level_driver.h"
 #include "ibfs/status_array.h"
 #include "ibfs/strategies.h"
 #include "util/bitops.h"
@@ -41,97 +40,75 @@ inline int CountEqualBytes(const uint8_t* row, int n, uint8_t target) {
   return count;
 }
 
-// Joint-traversal runner state (Section 4): one kernel per level over a
-// Joint Frontier Queue, with the Joint Status Array providing coalesced
-// per-vertex status rows.
+// Joint-traversal kernel (Section 4): one kernel per level over a Joint
+// Frontier Queue, with the Joint Status Array providing coalesced
+// per-vertex status rows. LevelDriver runs its levels.
 //
 // Accounting discipline: the per-neighbor row loads/stores run through
 // ContiguousRunAggregators (all rows share one shape: n_ one-byte
 // elements) and compute ops accumulate in plain integers, flushed at every
 // item boundary — bit-identical totals to the former per-call charges.
-class JointRunner {
+class JointKernel {
  public:
-  JointRunner(const graph::Csr& graph,
+  JointKernel(const graph::Csr& graph,
               std::span<const graph::VertexId> sources,
               const TraversalOptions& options, gpusim::Device* device)
       : graph_(graph),
         options_(options),
-        device_(device),
         n_(static_cast<int>(sources.size())),
         jsa_(graph.vertex_count(), n_),
-        sources_(sources.begin(), sources.end()),
-        td_phase_(device->InternPhase("td_inspect")),
-        bu_phase_(device->InternPhase("bu_inspect")),
-        fq_phase_(device->InternPhase("fq_gen")),
         row_loads_(n_, 1, device->spec().transaction_bytes,
                    device->spec().warp_size),
         row_stores_(n_, 1, device->spec().transaction_bytes,
                     device->spec().warp_size),
-        bu_inspections_per_instance_(n_, 0) {}
+        bu_inspections_per_instance_(n_, 0) {
+    for (int j = 0; j < n_; ++j) {
+      const VertexId s = sources[j];
+      if (!jsa_.IsVisited(s, j)) {
+        // A vertex may serve as source for several instances; enqueue once.
+        bool already_queued = false;
+        for (VertexId q : jfq_.vertices()) already_queued |= (q == s);
+        if (!already_queued) jfq_.Push(s);
+      }
+      jsa_.SetDepth(s, j, 0);
+    }
+  }
 
-  GroupResult Run();
+  int64_t queue_size() const { return jfq_.size(); }
+  // Expansion + inspection over the JFQ for the current level.
+  int64_t TopDown(int level, gpusim::KernelScope* scope);
+  int64_t BottomUp(int level, gpusim::KernelScope* scope);
+  // Inspection already counted the level's discoveries.
+  LevelSweep Sweep(int /*level*/, gpusim::KernelScope* /*scope*/) {
+    const LevelSweep sweep{new_visits_, frontier_edges_};
+    new_visits_ = 0;
+    frontier_edges_ = 0;
+    return sweep;
+  }
+  // Scans the JSA and rebuilds the JFQ for the chosen direction.
+  int64_t BuildQueue(bool bottom_up, int level, gpusim::KernelScope* scope);
+  void Export(GroupResult* result);
 
  private:
-  void InitSources();
-  // Expansion + inspection over the JFQ for the current level.
-  int64_t RunTopDownLevel(gpusim::KernelScope* scope);
-  int64_t RunBottomUpLevel(gpusim::KernelScope* scope);
-  // Scans the JSA, chooses the next direction, and rebuilds the JFQ.
-  void GenerateFrontier(gpusim::KernelScope* scope);
-  void ChooseDirection();
-
   const graph::Csr& graph_;
   const TraversalOptions& options_;
-  gpusim::Device* device_;
   const int n_;
   JointStatusArray jsa_;
-  std::vector<VertexId> sources_;
-  const gpusim::PhaseId td_phase_;
-  const gpusim::PhaseId bu_phase_;
-  const gpusim::PhaseId fq_phase_;
   // Status rows all have the same transaction shape; the aggregators
   // memoize per-residue counts across the whole run.
   gpusim::ContiguousRunAggregator row_loads_;
   gpusim::ContiguousRunAggregator row_stores_;
   FrontierQueue jfq_;
-  GroupTrace trace_;
+  IntegerMoments search_lengths_;
   std::vector<int64_t> bu_inspections_per_instance_;
-
-  int level_ = 1;
-  bool bottom_up_ = false;
-  bool finished_ = false;
-  int64_t level_new_visits_ = 0;
-  int64_t level_inspections_ = 0;
-  // Pending stats computed by the previous GenerateFrontier for the level
-  // about to run.
-  int64_t pending_private_fq_sum_ = 0;
-  // Direction-heuristic accumulators (summed over all instances).
-  int64_t td_frontier_edges_ = 0;
-  int64_t unexplored_edges_ = 0;
-  int64_t visited_pairs_ = 0;
+  // Pairs discovered by the level being inspected, and Σ of their
+  // outdegrees (the candidate top-down frontier's edge count).
+  int64_t new_visits_ = 0;
+  int64_t frontier_edges_ = 0;
 };
 
-void JointRunner::InitSources() {
-  const int64_t e = graph_.edge_count();
-  unexplored_edges_ = static_cast<int64_t>(n_) * e;
-  for (int j = 0; j < n_; ++j) {
-    const VertexId s = sources_[j];
-    if (!jsa_.IsVisited(s, j)) {
-      // A vertex may serve as source for several instances; enqueue once.
-      bool already_queued = false;
-      for (VertexId q : jfq_.vertices()) already_queued |= (q == s);
-      if (!already_queued) jfq_.Push(s);
-    }
-    jsa_.SetDepth(s, j, 0);
-    td_frontier_edges_ += graph_.OutDegree(s);
-    unexplored_edges_ -= graph_.OutDegree(s);
-    ++visited_pairs_;
-  }
-  pending_private_fq_sum_ = n_;
-}
-
-int64_t JointRunner::RunTopDownLevel(gpusim::KernelScope* scope) {
-  int64_t new_visits = 0;
+int64_t JointKernel::TopDown(int level, gpusim::KernelScope* scope) {
+  int64_t inspections = 0;
   if (options_.adjacency_cache) {
     scope->SetCtaSharedBytes(options_.cache_tile_bytes);
   }
@@ -144,7 +121,7 @@ int64_t JointRunner::RunTopDownLevel(gpusim::KernelScope* scope) {
     active.clear();
     const auto row_f = jsa_.Row(f);
     for (int j = 0; j < n_; ++j) {
-      if (row_f[j] == static_cast<uint8_t>(level_ - 1)) active.push_back(j);
+      if (row_f[j] == static_cast<uint8_t>(level - 1)) active.push_back(j);
     }
     scope->Compute(n_);
     if (active.empty()) {
@@ -196,29 +173,28 @@ int64_t JointRunner::RunTopDownLevel(gpusim::KernelScope* scope) {
       int updates = 0;
       for (int j : active) {
         if (row_w[j] == kUnvisitedDepth) {
-          row_w[j] = static_cast<uint8_t>(level_);
+          row_w[j] = static_cast<uint8_t>(level);
           ++updates;
         }
       }
       if (updates > 0) {
         const int64_t d = graph_.OutDegree(w);
-        new_visits += updates;
-        td_frontier_edges_ += static_cast<int64_t>(updates) * d;
-        unexplored_edges_ -= static_cast<int64_t>(updates) * d;
+        new_visits_ += updates;
+        frontier_edges_ += static_cast<int64_t>(updates) * d;
         // Updates from contiguous threads coalesce into one store request.
         row_stores_.Observe(jsa_.ElementIndex(w, 0));
       }
     }
     flush_chunk();
-    level_inspections_ +=
+    inspections +=
         static_cast<int64_t>(active.size()) * static_cast<int64_t>(deg);
     scope->EndItem();
   }
-  return new_visits;
+  return inspections;
 }
 
-int64_t JointRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
-  int64_t new_visits = 0;
+int64_t JointKernel::BottomUp(int level, gpusim::KernelScope* scope) {
+  int64_t inspections = 0;
   if (options_.adjacency_cache) {
     scope->SetCtaSharedBytes(options_.cache_tile_bytes);
   }
@@ -246,7 +222,7 @@ int64_t JointRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
       ++scanned;
       row_loads_.Observe(jsa_.ElementIndex(w, 0));
       item_ops += 2 * static_cast<int64_t>(active.size());
-      level_inspections_ += static_cast<int64_t>(active.size());
+      inspections += static_cast<int64_t>(active.size());
       const auto row_w = jsa_.Row(w);
       size_t i = 0;
       while (i < active.size()) {
@@ -254,13 +230,13 @@ int64_t JointRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
         if (options_.collect_instance_stats) {
           ++bu_inspections_per_instance_[j];
         }
-        if (row_w[j] < static_cast<uint8_t>(level_)) {
-          row_f[j] = static_cast<uint8_t>(level_);
+        if (row_w[j] < static_cast<uint8_t>(level)) {
+          row_f[j] = static_cast<uint8_t>(level);
           ++updates;
           if (options_.collect_instance_stats) {
             // Parent found after `scanned` probes: one sample of the
             // bottom-up search-length distribution (Figure 11).
-            trace_.bottom_up_search_lengths.Add(scanned);
+            search_lengths_.Add(scanned);
           }
           active[i] = active.back();
           active.pop_back();
@@ -272,16 +248,13 @@ int64_t JointRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
     scope->LoadRuns(row_loads_);
     row_loads_.Reset();
     scope->Compute(item_ops);
-    if (updates > 0) {
-      new_visits += updates;
-      td_frontier_edges_ += updates * deg_f;
-      unexplored_edges_ -= updates * deg_f;
-    }
+    new_visits_ += updates;
+    frontier_edges_ += updates * deg_f;
     if (options_.collect_instance_stats) {
       // Searches that exhausted the neighbor list without finding a parent
       // also contribute their full scan length.
       for (size_t i = 0; i < active.size(); ++i) {
-        trace_.bottom_up_search_lengths.Add(scanned);
+        search_lengths_.Add(scanned);
       }
     }
     scope->LoadContiguous(static_cast<int64_t>(graph_.in_row_offsets()[f]),
@@ -294,47 +267,16 @@ int64_t JointRunner::RunBottomUpLevel(gpusim::KernelScope* scope) {
     }
     scope->EndItem();
   }
-  return new_visits;
+  return inspections;
 }
 
-void JointRunner::ChooseDirection() {
-  if (options_.force_top_down) {
-    bottom_up_ = false;
-    return;
-  }
-  const int64_t n_pairs =
-      static_cast<int64_t>(n_) * graph_.vertex_count();
-  if (!bottom_up_) {
-    if (td_frontier_edges_ >
-        static_cast<int64_t>(static_cast<double>(unexplored_edges_) /
-                             options_.alpha)) {
-      bottom_up_ = true;
-    }
-  } else {
-    if (level_new_visits_ <
-        static_cast<int64_t>(static_cast<double>(n_pairs) / options_.beta)) {
-      bottom_up_ = false;
-    }
-  }
-}
-
-void JointRunner::GenerateFrontier(gpusim::KernelScope* scope) {
-  visited_pairs_ += level_new_visits_;
-  if (level_new_visits_ == 0 || level_ >= options_.max_level) {
-    finished_ = true;
-    jfq_.Clear();
-    return;
-  }
-  // td_frontier_edges_ holds the outdegree sum of the pairs discovered at
-  // the level that just ran (accumulated during inspection) — exactly the
-  // candidate top-down frontier's edge count.
-  ChooseDirection();
-
+int64_t JointKernel::BuildQueue(bool bottom_up, int level,
+                                gpusim::KernelScope* scope) {
   const int64_t n_vertices = graph_.vertex_count();
   jfq_.Clear();
   int64_t private_sum = 0;
-  const uint8_t target = bottom_up_ ? kUnvisitedDepth
-                                    : static_cast<uint8_t>(level_);
+  const uint8_t target =
+      bottom_up ? kUnvisitedDepth : static_cast<uint8_t>(level);
   for (int64_t v = 0; v < n_vertices; ++v) {
     const auto vid = static_cast<VertexId>(v);
     // One warp scans each vertex's status row (Figure 4) and votes: the
@@ -354,60 +296,26 @@ void JointRunner::GenerateFrontier(gpusim::KernelScope* scope) {
   // Figure 18.
   scope->StoreContiguous(0, jfq_.size(), sizeof(VertexId));
   scope->Atomic((jfq_.size() + gpusim::kWarpSize - 1) / gpusim::kWarpSize);
-  pending_private_fq_sum_ = private_sum;
-  if (jfq_.empty()) finished_ = true;
-  ++level_;
+  return private_sum;
 }
 
-GroupResult JointRunner::Run() {
-  InitSources();
-  LevelObserver level_observer(options_.observer, device_);
-  while (!finished_) {
-    LevelTrace lt;
-    lt.level = level_;
-    lt.bottom_up = bottom_up_;
-    lt.jfq_size = jfq_.size();
-    lt.private_fq_sum = pending_private_fq_sum_;
-    level_observer.LevelStart(lt.jfq_size);
-    level_new_visits_ = 0;
-    level_inspections_ = 0;
-    // Accumulates the discovered pairs' outdegrees during this level only,
-    // feeding the direction heuristic (kept identical to the bitwise
-    // runner's so both take the same per-level decisions).
-    td_frontier_edges_ = 0;
-    {
-      auto scope = device_->BeginKernel(bottom_up_ ? bu_phase_ : td_phase_);
-      level_new_visits_ =
-          bottom_up_ ? RunBottomUpLevel(&scope) : RunTopDownLevel(&scope);
-    }
-    {
-      auto scope = device_->BeginKernel(fq_phase_);
-      GenerateFrontier(&scope);
-    }
-    lt.edges_inspected = level_inspections_;
-    lt.new_visits = level_new_visits_;
-    level_observer.LevelEnd(lt, bottom_up_, finished_);
-    trace_.levels.push_back(lt);
-  }
-
-  GroupResult result;
-  result.trace = std::move(trace_);
-  result.trace.instance_count = n_;
+void JointKernel::Export(GroupResult* result) {
+  result->trace.instance_count = n_;
+  result->trace.bottom_up_search_lengths = search_lengths_;
   if (options_.collect_instance_stats) {
-    result.trace.bottom_up_inspections_per_instance =
+    result->trace.bottom_up_inspections_per_instance =
         std::move(bu_inspections_per_instance_);
   }
   if (options_.record_depths) {
-    result.depths.assign(n_, {});
+    result->depths.assign(n_, {});
     for (int j = 0; j < n_; ++j) {
-      auto& d = result.depths[j];
+      auto& d = result->depths[j];
       d.resize(static_cast<size_t>(graph_.vertex_count()));
       for (int64_t v = 0; v < graph_.vertex_count(); ++v) {
         d[v] = jsa_.Depth(static_cast<VertexId>(v), j);
       }
     }
   }
-  return result;
 }
 
 }  // namespace
@@ -416,8 +324,7 @@ Result<GroupResult> RunJointGroup(const graph::Csr& graph,
                                   std::span<const graph::VertexId> sources,
                                   const TraversalOptions& options,
                                   gpusim::Device* device) {
-  JointRunner runner(graph, sources, options, device);
-  return runner.Run();
+  return DriveGroup<JointKernel>(graph, sources, options, device);
 }
 
 }  // namespace ibfs::internal_strategies

@@ -10,9 +10,10 @@
 
 namespace ibfs::internal_strategies {
 
-/// Per-level telemetry shared by the joint and bitwise runners: one span
-/// per traversal level (cat "level", simulated time), a jfq_size counter
-/// track, direction-switch instant markers, and the engine.* metrics.
+/// Per-level telemetry of the level loop (level_driver.h), for every
+/// strategy: one span per traversal level (cat "level", simulated time), a
+/// jfq_size counter track, direction-switch instant markers, and the
+/// engine.* metrics.
 /// Every method reduces to a null check when observability is disabled, so
 /// the uninstrumented hot path stays unmeasurably close to free.
 class LevelObserver {

@@ -1,6 +1,6 @@
-#include <memory>
 #include <vector>
 
+#include "ibfs/level_driver.h"
 #include "ibfs/single_bfs.h"
 #include "ibfs/strategies.h"
 
@@ -9,83 +9,74 @@ namespace ibfs::internal_strategies {
 // All instances in flight at once as separate kernels (Hyper-Q style), with
 // fully private data structures: the paper's "naive" concurrent BFS. The
 // kernels of one level overlap on the device (the simulator folds their work
-// into one accounting scope), but nothing is shared, each instance still
-// pays its own launch, and at direction-switch levels every instance wants
-// the whole machine — which is why the paper measures it at roughly
-// sequential speed (Section 2).
+// into one accounting scope per phase), but nothing is shared, each instance
+// still pays its own launch, and at direction-switch levels every instance
+// wants the whole machine — which is why the paper measures it at roughly
+// sequential speed (Section 2). Each instance keeps its own level driver;
+// this runner steps them all one level at a time.
 Result<GroupResult> RunNaiveGroup(const graph::Csr& graph,
                                   std::span<const graph::VertexId> sources,
                                   const TraversalOptions& options,
                                   gpusim::Device* device) {
+  struct Instance {
+    SingleBfs bfs;
+    LevelDriver driver;
+  };
+  std::vector<Instance> instances;
+  instances.reserve(sources.size());
+  for (const graph::VertexId& source : sources) {
+    instances.push_back({SingleBfs(graph, source, options),
+                         LevelDriver(graph, {&source, 1}, options)});
+  }
+
   GroupResult result;
   result.trace.instance_count = static_cast<int>(sources.size());
-
-  // One interning per run; per-level kernel opens are then index lookups.
-  const gpusim::PhaseId td_phase = device->InternPhase("td_inspect");
-  const gpusim::PhaseId bu_phase = device->InternPhase("bu_inspect");
-  const gpusim::PhaseId fq_phase = device->InternPhase("fq_gen");
-
-  std::vector<std::unique_ptr<SingleBfs>> instances;
-  instances.reserve(sources.size());
-  for (graph::VertexId source : sources) {
-    instances.push_back(std::make_unique<SingleBfs>(graph, source, options));
-  }
-
-  int level = 1;
+  const LevelPhases phases(device);
+  LevelObserver observer(options.observer, device);
   for (;;) {
-    int64_t active = 0;
-    for (const auto& bfs : instances) {
-      if (!bfs->finished()) ++active;
-    }
-    if (active == 0) break;
-
+    // Active instances, counted by the direction their level runs in.
+    int64_t active[2] = {0, 0};
     LevelTrace lt;
-    lt.level = level;
+    for (Instance& in : instances) {
+      if (in.driver.finished()) continue;
+      in.driver.Open(in.bfs, &lt);
+      ++active[in.driver.bottom_up()];
+    }
+    if (active[0] + active[1] == 0) break;
+    observer.LevelStart(lt.jfq_size);
 
     // Expansion + inspection: one overlapping kernel per active instance,
-    // routed into direction-tagged scopes.
-    {
-      auto td_scope = device->BeginKernel(td_phase);
-      auto bu_scope = device->BeginKernel(bu_phase);
-      int64_t td_kernels = 0;
-      int64_t bu_kernels = 0;
-      for (auto& bfs : instances) {
-        if (bfs->finished()) continue;
-        const bool bottom_up = bfs->bottom_up();
-        lt.bottom_up = lt.bottom_up || bottom_up;
-        lt.jfq_size += bfs->frontier_size();
-        lt.private_fq_sum += bfs->frontier_size();
-        const int64_t before = bfs->total_inspections();
-        lt.new_visits += bfs->RunLevel(bottom_up ? &bu_scope : &td_scope);
-        lt.edges_inspected += bfs->total_inspections() - before;
-        ++(bottom_up ? bu_kernels : td_kernels);
+    // in the scope of its direction. A direction no instance takes this
+    // level launches nothing.
+    for (const bool bottom_up : {false, true}) {
+      if (active[bottom_up] == 0) continue;
+      auto scope = device->BeginKernel(phases.Inspect(bottom_up));
+      for (Instance& in : instances) {
+        if (!in.driver.finished() && in.driver.bottom_up() == bottom_up) {
+          in.driver.Inspect(in.bfs, &scope, &lt);
+        }
       }
-      if (td_kernels > 1) td_scope.ExtraLaunches(td_kernels - 1);
-      if (bu_kernels > 1) bu_scope.ExtraLaunches(bu_kernels - 1);
+      scope.ExtraLaunches(active[bottom_up] - 1);
     }
     // Frontier queue generation, again one kernel per active instance.
+    bool next_bottom_up = false;
+    bool finished = true;
     {
-      auto scope = device->BeginKernel(fq_phase);
-      int64_t kernels = 0;
-      for (auto& bfs : instances) {
-        if (bfs->finished()) continue;
-        bfs->GenerateNextFrontier(&scope);
-        ++kernels;
+      auto scope = device->BeginKernel(phases.fq_gen);
+      for (Instance& in : instances) {
+        if (in.driver.finished()) continue;
+        in.driver.Advance(in.bfs, &scope, &lt);
+        if (in.driver.finished()) continue;
+        finished = false;
+        next_bottom_up = next_bottom_up || in.driver.bottom_up();
       }
-      if (kernels > 1) scope.ExtraLaunches(kernels - 1);
+      scope.ExtraLaunches(active[0] + active[1] - 1);
     }
+    observer.LevelEnd(lt, next_bottom_up, finished);
     result.trace.levels.push_back(lt);
-    ++level;
   }
 
-  for (auto& bfs : instances) {
-    if (options.collect_instance_stats) {
-      result.trace.bottom_up_inspections_per_instance.push_back(
-          bfs->bottom_up_inspections());
-    }
-    if (options.record_parents) result.parents.push_back(bfs->TakeParents());
-    result.depths.push_back(bfs->TakeDepths());
-  }
+  for (Instance& in : instances) in.bfs.Export(&result);
   return result;
 }
 

@@ -1,3 +1,4 @@
+#include "ibfs/level_driver.h"
 #include "ibfs/single_bfs.h"
 #include "ibfs/strategies.h"
 
@@ -6,56 +7,20 @@ namespace ibfs::internal_strategies {
 // Runs each instance's full BFS back to back: the paper's "sequential"
 // baseline of Figure 15 (state-of-the-art single BFS, repeated i times).
 // Every level of every instance pays its own kernel launches, and the
-// private per-byte status probes coalesce poorly.
+// private per-byte status probes coalesce poorly. With private queues
+// nothing is shared, so each level's joint size in the merged trace equals
+// its private sum.
 Result<GroupResult> RunSequentialGroup(const graph::Csr& graph,
                                        std::span<const graph::VertexId> sources,
                                        const TraversalOptions& options,
                                        gpusim::Device* device) {
   GroupResult result;
   result.trace.instance_count = static_cast<int>(sources.size());
-
-  // One interning per run; per-level kernel opens are then index lookups.
-  const gpusim::PhaseId td_phase = device->InternPhase("td_inspect");
-  const gpusim::PhaseId bu_phase = device->InternPhase("bu_inspect");
-  const gpusim::PhaseId fq_phase = device->InternPhase("fq_gen");
-
-  for (graph::VertexId source : sources) {
+  for (const graph::VertexId& source : sources) {
     SingleBfs bfs(graph, source, options);
-    while (!bfs.finished()) {
-      const int level = bfs.level();
-      const bool bottom_up = bfs.bottom_up();
-      const int64_t frontier_size = bfs.frontier_size();
-      const int64_t inspections_before = bfs.total_inspections();
-
-      int64_t new_visits = 0;
-      {
-        auto scope = device->BeginKernel(bottom_up ? bu_phase : td_phase);
-        new_visits = bfs.RunLevel(&scope);
-      }
-      {
-        auto scope = device->BeginKernel(fq_phase);
-        bfs.GenerateNextFrontier(&scope);
-      }
-
-      // Merge this (instance, level) into the group trace. With private
-      // queues nothing is shared, so the joint size equals the private sum.
-      if (static_cast<size_t>(level) > result.trace.levels.size()) {
-        result.trace.levels.resize(level);
-      }
-      LevelTrace& lt = result.trace.levels[level - 1];
-      lt.level = level;
-      lt.bottom_up = lt.bottom_up || bottom_up;
-      lt.jfq_size += frontier_size;
-      lt.private_fq_sum += frontier_size;
-      lt.edges_inspected += bfs.total_inspections() - inspections_before;
-      lt.new_visits += new_visits;
-    }
-    if (options.collect_instance_stats) {
-      result.trace.bottom_up_inspections_per_instance.push_back(
-          bfs.bottom_up_inspections());
-    }
-    if (options.record_parents) result.parents.push_back(bfs.TakeParents());
-    result.depths.push_back(bfs.TakeDepths());
+    LevelDriver(graph, {&source, 1}, options)
+        .Run(bfs, device, &result.trace.levels);
+    bfs.Export(&result);
   }
   return result;
 }

@@ -69,153 +69,125 @@ SingleBfs::SingleBfs(const graph::Csr& graph, graph::VertexId source,
   depths_[source] = 0;
   parents_[source] = source;
   frontier_.Push(source);
-  visited_count_ = 1;
-  frontier_edges_ = graph.OutDegree(source);
-  unexplored_edges_ = graph.edge_count() - frontier_edges_;
 }
 
-int64_t SingleBfs::RunLevel(gpusim::KernelScope* scope) {
-  if (finished_) return 0;
-  int64_t new_visits = 0;
+int64_t SingleBfs::TopDown(int level, gpusim::KernelScope* scope) {
+  // Mark unvisited out-neighbors of each frontier. Large frontiers are
+  // expanded by many thread groups in parallel (Enterprise's workload
+  // classification), so the schedulable item is re-opened every 256
+  // neighbors.
+  constexpr int64_t kExpandChunk = 256;
   GatherBatcher status_loads(scope, /*elem_bytes=*/1);
   ScatterBatcher status_stores(scope, /*elem_bytes=*/1);
-
-  if (!bottom_up_) {
-    // Top-down: mark unvisited out-neighbors of each frontier. Large
-    // frontiers are expanded by many thread groups in parallel
-    // (Enterprise's workload classification), so the schedulable item is
-    // re-opened every 256 neighbors.
-    constexpr int64_t kExpandChunk = 256;
-    for (graph::VertexId f : frontier_.vertices()) {
-      scope->BeginItem();
-      const auto neighbors = graph_.OutNeighbors(f);
-      scope->LoadContiguous(
-          static_cast<int64_t>(graph_.row_offsets()[f]),
-          static_cast<int64_t>(neighbors.size()), sizeof(graph::VertexId));
-      // The 2 ops per inspected neighbor accumulate per chunk and flush
-      // before every item boundary — same totals at every EndItem snapshot
-      // as charging them one by one.
-      int64_t in_chunk = 0;
-      for (graph::VertexId w : neighbors) {
-        if (in_chunk == kExpandChunk) {
-          scope->BulkCompute(in_chunk, 2);
-          in_chunk = 0;
-          scope->EndItem();
-          scope->BeginItem();
-        }
-        ++in_chunk;
-        ++total_inspections_;
-        status_loads.Add(w);
-        if (depths_[w] == kUnvisitedDepth) {
-          depths_[w] = static_cast<uint8_t>(level_);
-          parents_[w] = f;
-          status_stores.Add(w);
-          ++new_visits;
-        }
+  int64_t inspections = 0;
+  for (graph::VertexId f : frontier_.vertices()) {
+    scope->BeginItem();
+    const auto neighbors = graph_.OutNeighbors(f);
+    scope->LoadContiguous(
+        static_cast<int64_t>(graph_.row_offsets()[f]),
+        static_cast<int64_t>(neighbors.size()), sizeof(graph::VertexId));
+    // The 2 ops per inspected neighbor accumulate per chunk and flush
+    // before every item boundary — same totals at every EndItem snapshot
+    // as charging them one by one.
+    int64_t in_chunk = 0;
+    for (graph::VertexId w : neighbors) {
+      if (in_chunk == kExpandChunk) {
+        scope->BulkCompute(in_chunk, 2);
+        in_chunk = 0;
+        scope->EndItem();
+        scope->BeginItem();
       }
-      scope->BulkCompute(in_chunk, 2);
-      scope->EndItem();
-    }
-  } else {
-    // Bottom-up: each unvisited vertex searches its in-neighbors for a
-    // parent visited at an earlier level, stopping at the first hit.
-    for (graph::VertexId v : frontier_.vertices()) {
-      scope->BeginItem();
-      const auto neighbors = graph_.InNeighbors(v);
-      int64_t scanned = 0;
-      for (graph::VertexId w : neighbors) {
-        ++scanned;
-        ++bu_inspections_;
-        ++total_inspections_;
-        status_loads.Add(w);
-        if (depths_[w] < level_) {  // kUnvisitedDepth compares greater
-          depths_[v] = static_cast<uint8_t>(level_);
-          parents_[v] = w;
-          status_stores.Add(v);
-          ++new_visits;
-          break;  // per-instance early exit inherent to bottom-up
-        }
+      ++in_chunk;
+      status_loads.Add(w);
+      if (depths_[w] == kUnvisitedDepth) {
+        depths_[w] = static_cast<uint8_t>(level);
+        parents_[w] = f;
+        status_stores.Add(w);
+        ++new_visits_;
+        frontier_edges_ += graph_.OutDegree(w);
       }
-      scope->BulkCompute(scanned, 2);
-      scope->LoadContiguous(
-          static_cast<int64_t>(graph_.in_row_offsets()[v]), scanned,
-          sizeof(graph::VertexId));
-      scope->EndItem();
     }
+    inspections += static_cast<int64_t>(neighbors.size());
+    scope->BulkCompute(in_chunk, 2);
+    scope->EndItem();
   }
   status_loads.Flush();
   status_stores.Flush();
-  last_new_visits_ = new_visits;
-  return new_visits;
+  total_inspections_ += inspections;
+  return inspections;
 }
 
-void SingleBfs::GenerateNextFrontier(gpusim::KernelScope* scope) {
-  if (finished_) return;
-  const int64_t n = graph_.vertex_count();
-  visited_count_ += last_new_visits_;
-  if (last_new_visits_ == 0 || level_ >= options_.max_level ||
-      visited_count_ >= n) {
-    finished_ = true;
-    frontier_.Clear();
-    return;
+int64_t SingleBfs::BottomUp(int level, gpusim::KernelScope* scope) {
+  // Each unvisited vertex searches its in-neighbors for a parent visited
+  // at an earlier level, stopping at the first hit.
+  GatherBatcher status_loads(scope, /*elem_bytes=*/1);
+  ScatterBatcher status_stores(scope, /*elem_bytes=*/1);
+  int64_t inspections = 0;
+  for (graph::VertexId v : frontier_.vertices()) {
+    scope->BeginItem();
+    const auto neighbors = graph_.InNeighbors(v);
+    int64_t scanned = 0;
+    for (graph::VertexId w : neighbors) {
+      ++scanned;
+      status_loads.Add(w);
+      if (depths_[w] < level) {  // kUnvisitedDepth compares greater
+        depths_[v] = static_cast<uint8_t>(level);
+        parents_[v] = w;
+        status_stores.Add(v);
+        ++new_visits_;
+        frontier_edges_ += graph_.OutDegree(v);
+        break;  // per-instance early exit inherent to bottom-up
+      }
+    }
+    inspections += scanned;
+    scope->BulkCompute(scanned, 2);
+    scope->LoadContiguous(
+        static_cast<int64_t>(graph_.in_row_offsets()[v]), scanned,
+        sizeof(graph::VertexId));
+    scope->EndItem();
   }
+  status_loads.Flush();
+  status_stores.Flush();
+  bu_inspections_ += inspections;
+  total_inspections_ += inspections;
+  return inspections;
+}
 
-  // Scan the status array once: collect the newly visited set's stats and
-  // decide the next direction before materializing the queue.
+LevelSweep SingleBfs::Sweep(int /*level*/, gpusim::KernelScope* /*scope*/) {
+  const LevelSweep sweep{new_visits_, frontier_edges_};
+  visited_count_ += new_visits_;
+  new_visits_ = 0;
+  frontier_edges_ = 0;
+  return sweep;
+}
+
+int64_t SingleBfs::BuildQueue(bool bottom_up, int level,
+                              gpusim::KernelScope* scope) {
+  frontier_.Clear();
+  const int64_t n = graph_.vertex_count();
+  if (visited_count_ >= n) return 0;
+  // One status-array scan: the newly visited set for top-down, the
+  // unvisited set for bottom-up.
   scope->LoadContiguous(0, n, /*elem_bytes=*/1);
   scope->Compute(n);
-  int64_t new_frontier_edges = 0;
+  const uint8_t target =
+      bottom_up ? kUnvisitedDepth : static_cast<uint8_t>(level);
   for (int64_t v = 0; v < n; ++v) {
-    if (depths_[v] == level_) {
-      new_frontier_edges +=
-          graph_.OutDegree(static_cast<graph::VertexId>(v));
-    }
-  }
-  unexplored_edges_ -= new_frontier_edges;
-  frontier_edges_ = new_frontier_edges;
-  UpdateDirection();
-
-  frontier_.Clear();
-  if (!bottom_up_) {
-    for (int64_t v = 0; v < n; ++v) {
-      if (depths_[v] == level_) {
-        frontier_.Push(static_cast<graph::VertexId>(v));
-      }
-    }
-  } else {
-    for (int64_t v = 0; v < n; ++v) {
-      if (depths_[v] == kUnvisitedDepth) {
-        frontier_.Push(static_cast<graph::VertexId>(v));
-      }
-    }
+    if (depths_[v] == target) frontier_.Push(static_cast<graph::VertexId>(v));
   }
   scope->StoreContiguous(0, frontier_.size(), sizeof(graph::VertexId));
   scope->Atomic((frontier_.size() + gpusim::kWarpSize - 1) /
                 gpusim::kWarpSize);
-  if (frontier_.empty()) finished_ = true;
-  ++level_;
+  return frontier_.size();
 }
 
-void SingleBfs::UpdateDirection() {
-  if (options_.force_top_down) {
-    bottom_up_ = false;
-    return;
+void SingleBfs::Export(GroupResult* result) {
+  if (options_.collect_instance_stats) {
+    result->trace.bottom_up_inspections_per_instance.push_back(
+        bu_inspections_);
   }
-  const int64_t n = graph_.vertex_count();
-  if (!bottom_up_) {
-    // Frontier is "hot" enough that scanning unvisited vertices is cheaper.
-    if (frontier_edges_ >
-        static_cast<int64_t>(static_cast<double>(unexplored_edges_) /
-                             options_.alpha)) {
-      bottom_up_ = true;
-    }
-  } else {
-    // Frontier (newly visited set) has shrunk: go back to top-down.
-    if (last_new_visits_ <
-        static_cast<int64_t>(static_cast<double>(n) / options_.beta)) {
-      bottom_up_ = false;
-    }
-  }
+  if (options_.record_parents) result->parents.push_back(std::move(parents_));
+  result->depths.push_back(std::move(depths_));
 }
 
 }  // namespace ibfs

@@ -1050,61 +1050,87 @@ class ObsEngineTest : public ::testing::Test {
 
 TEST_F(ObsEngineTest, InstrumentedRunEmitsSpansPerLevelAndValidates) {
   const graph::Csr graph = MakeGraph();
-  Tracer tracer;
-  MetricsRegistry metrics;
-  EngineOptions options;
-  options.strategy = Strategy::kBitwise;
-  options.grouping = GroupingPolicy::kGroupBy;
-  options.group_size = 32;
-  options.keep_depths = false;
-  options.observer.tracer = &tracer;
-  options.observer.metrics = &metrics;
-
   const auto sources = graph::SampleConnectedSources(graph, kInstances, 1);
-  Engine engine(&graph, options);
-  auto result = engine.Run(sources);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const EngineResult& res = result.value();
-  EXPECT_GT(res.wall_seconds, 0.0);
+  for (const Strategy strategy :
+       {Strategy::kSequential, Strategy::kNaiveConcurrent,
+        Strategy::kJointTraversal, Strategy::kBitwise}) {
+    SCOPED_TRACE(StrategyName(strategy));
+    Tracer tracer;
+    MetricsRegistry metrics;
+    EngineOptions options;
+    options.strategy = strategy;
+    options.grouping = GroupingPolicy::kGroupBy;
+    options.group_size = 32;
+    options.keep_depths = false;
+    options.observer.tracer = &tracer;
+    options.observer.metrics = &metrics;
 
-  // One "level" span per traversal level of every group, plus group spans,
-  // kernel spans, and the host-side grouping span.
-  int64_t total_levels = 0;
-  for (const GroupResult& g : res.groups) {
-    total_levels += static_cast<int64_t>(g.trace.levels.size());
+    Engine engine(&graph, options);
+    auto result = engine.Run(sources);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const EngineResult& res = result.value();
+    EXPECT_GT(res.wall_seconds, 0.0);
+
+    // One "level" span per traversal level, plus group spans, kernel
+    // spans, and the host-side grouping span. A level is a group level for
+    // naive, joint and bitwise; sequential runs its instances one after
+    // another, so it emits a span per level of each instance.
+    int64_t total_levels = 0;
+    if (strategy == Strategy::kSequential) {
+      for (const graph::VertexId& source : sources) {
+        gpusim::Device device;
+        auto single =
+            RunGroup(Strategy::kSequential, graph, {&source, 1}, {}, &device);
+        ASSERT_TRUE(single.ok());
+        total_levels +=
+            static_cast<int64_t>(single.value().trace.levels.size());
+      }
+    } else {
+      for (const GroupResult& g : res.groups) {
+        total_levels += static_cast<int64_t>(g.trace.levels.size());
+      }
+    }
+    ASSERT_GT(total_levels, 0);
+
+    std::ostringstream os;
+    tracer.WriteJson(os);
+    auto parsed = ParseJson(os.str());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ASSERT_TRUE(ValidateTrace(parsed.value(), /*require_spans=*/true).ok());
+
+    int64_t level_spans = 0;
+    int64_t group_spans = 0;
+    int64_t kernel_spans = 0;
+    // A kernel span folds the overlapping launches of one phase (naive
+    // runs one kernel per instance); its "launches" arg counts them.
+    int64_t kernel_launches = 0;
+    int64_t host_spans = 0;
+    for (const JsonValue& e : parsed.value().Find("traceEvents")->array()) {
+      const JsonValue* cat = e.Find("cat");
+      if (cat == nullptr || e.Find("ph")->string_value() != "X") continue;
+      if (cat->string_value() == "level") ++level_spans;
+      if (cat->string_value() == "group") ++group_spans;
+      if (cat->string_value() == "kernel") {
+        ++kernel_spans;
+        kernel_launches += static_cast<int64_t>(
+            e.Find("args")->Find("launches")->number_value());
+      }
+      if (cat->string_value() == "host") ++host_spans;
+    }
+    EXPECT_EQ(level_spans, total_levels);
+    EXPECT_EQ(group_spans, static_cast<int64_t>(res.groups.size()));
+    EXPECT_GT(kernel_spans, 0);
+    EXPECT_GE(host_spans, 1);  // the grouping phase
+
+    // Metrics agree with the trace.
+    const Counter* levels = metrics.FindCounter("engine.levels");
+    ASSERT_NE(levels, nullptr);
+    EXPECT_EQ(levels->value(), total_levels);
+    EXPECT_NE(metrics.FindCounter("engine.direction_switches"), nullptr);
+    EXPECT_NE(metrics.FindCounter("gpusim.kernel_launches"), nullptr);
+    EXPECT_EQ(metrics.FindCounter("gpusim.kernel_launches")->value(),
+              kernel_launches);
   }
-  ASSERT_GT(total_levels, 0);
-
-  std::ostringstream os;
-  tracer.WriteJson(os);
-  auto parsed = ParseJson(os.str());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_TRUE(ValidateTrace(parsed.value(), /*require_spans=*/true).ok());
-
-  int64_t level_spans = 0;
-  int64_t group_spans = 0;
-  int64_t kernel_spans = 0;
-  int64_t host_spans = 0;
-  for (const JsonValue& e : parsed.value().Find("traceEvents")->array()) {
-    const JsonValue* cat = e.Find("cat");
-    if (cat == nullptr || e.Find("ph")->string_value() != "X") continue;
-    if (cat->string_value() == "level") ++level_spans;
-    if (cat->string_value() == "group") ++group_spans;
-    if (cat->string_value() == "kernel") ++kernel_spans;
-    if (cat->string_value() == "host") ++host_spans;
-  }
-  EXPECT_EQ(level_spans, total_levels);
-  EXPECT_EQ(group_spans, static_cast<int64_t>(res.groups.size()));
-  EXPECT_GT(kernel_spans, 0);
-  EXPECT_GE(host_spans, 1);  // the grouping phase
-
-  // Metrics agree with the trace.
-  const Counter* levels = metrics.FindCounter("engine.levels");
-  ASSERT_NE(levels, nullptr);
-  EXPECT_EQ(levels->value(), total_levels);
-  EXPECT_NE(metrics.FindCounter("gpusim.kernel_launches"), nullptr);
-  EXPECT_EQ(metrics.FindCounter("gpusim.kernel_launches")->value(),
-            kernel_spans);
 }
 
 TEST_F(ObsEngineTest, BuildRunReportMatchesEngineResult) {

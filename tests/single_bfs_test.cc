@@ -1,28 +1,31 @@
 #include "baselines/reference_bfs.h"
 #include "gpusim/device.h"
 #include "gtest/gtest.h"
+#include "ibfs/level_driver.h"
 #include "ibfs/single_bfs.h"
 #include "test_util.h"
 
 namespace ibfs {
 namespace {
 
+// Drives `bfs` (started at `source`) to completion through the level loop
+// and returns its per-level trace.
+std::vector<LevelTrace> Drive(SingleBfs& bfs, const graph::Csr& graph,
+                              graph::VertexId source,
+                              const TraversalOptions& options,
+                              gpusim::Device* device) {
+  std::vector<LevelTrace> levels;
+  LevelDriver(graph, {&source, 1}, options).Run(bfs, device, &levels);
+  return levels;
+}
+
 // Drives one SingleBfs to completion and returns its depths.
 std::vector<uint8_t> RunToEnd(const graph::Csr& graph, graph::VertexId source,
                               const TraversalOptions& options,
                               gpusim::Device* device) {
   SingleBfs bfs(graph, source, options);
-  while (!bfs.finished()) {
-    {
-      auto scope = device->BeginKernel("inspect");
-      bfs.RunLevel(&scope);
-    }
-    {
-      auto scope = device->BeginKernel("fq_gen");
-      bfs.GenerateNextFrontier(&scope);
-    }
-  }
-  return bfs.TakeDepths();
+  Drive(bfs, graph, source, options, device);
+  return bfs.depths();
 }
 
 TEST(SingleBfsTest, MatchesReferenceOnSmallGraph) {
@@ -71,13 +74,8 @@ TEST(SingleBfsTest, SwitchesToBottomUpOnDenseGraph) {
   gpusim::Device device;
   SingleBfs bfs(g, 0, options);
   bool saw_bottom_up = false;
-  while (!bfs.finished()) {
-    saw_bottom_up |= bfs.bottom_up();
-    auto s1 = device.BeginKernel("i");
-    bfs.RunLevel(&s1);
-    s1.End();
-    auto s2 = device.BeginKernel("q");
-    bfs.GenerateNextFrontier(&s2);
+  for (const LevelTrace& lt : Drive(bfs, g, 0, options, &device)) {
+    saw_bottom_up |= lt.bottom_up;
   }
   EXPECT_TRUE(saw_bottom_up);
 }
@@ -88,13 +86,8 @@ TEST(SingleBfsTest, ForceTopDownNeverSwitches) {
   options.force_top_down = true;
   gpusim::Device device;
   SingleBfs bfs(g, 0, options);
-  while (!bfs.finished()) {
-    EXPECT_FALSE(bfs.bottom_up());
-    auto s1 = device.BeginKernel("i");
-    bfs.RunLevel(&s1);
-    s1.End();
-    auto s2 = device.BeginKernel("q");
-    bfs.GenerateNextFrontier(&s2);
+  for (const LevelTrace& lt : Drive(bfs, g, 0, options, &device)) {
+    EXPECT_FALSE(lt.bottom_up);
   }
   EXPECT_TRUE(baselines::DepthsMatchReference(g, 0, bfs.depths()));
 }
@@ -123,13 +116,7 @@ TEST(SingleBfsTest, InspectionCountersPopulated) {
   const graph::Csr g = testing::MakeRmatGraph(7, 12);
   gpusim::Device device;
   SingleBfs bfs(g, 0, {});
-  while (!bfs.finished()) {
-    auto s1 = device.BeginKernel("i");
-    bfs.RunLevel(&s1);
-    s1.End();
-    auto s2 = device.BeginKernel("q");
-    bfs.GenerateNextFrontier(&s2);
-  }
+  Drive(bfs, g, 0, {}, &device);
   EXPECT_GT(bfs.total_inspections(), 0);
   EXPECT_GE(bfs.total_inspections(), bfs.bottom_up_inspections());
 }

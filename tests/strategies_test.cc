@@ -1,3 +1,4 @@
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -5,6 +6,7 @@
 #include "gpusim/device.h"
 #include "graph/components.h"
 #include "gtest/gtest.h"
+#include "ibfs/level_driver.h"
 #include "ibfs/runner.h"
 #include "test_util.h"
 
@@ -290,18 +292,97 @@ TEST(StrategiesTest, ForceTopDownNeverRunsBottomUp) {
     for (const auto& lt : result.value().trace.levels) {
       EXPECT_FALSE(lt.bottom_up) << StrategyName(s);
     }
-    // No bottom-up kernel does any work. The naive runner opens its
-    // bu_inspect scope every level even when no instance uses it, so it
-    // records one empty launch per level; the other strategies none.
+    // No strategy launches a bottom-up kernel: the level loop opens only
+    // the direction some traversal takes.
     const gpusim::KernelStats bu = device.PhaseStats("bu_inspect");
     EXPECT_EQ(bu.item_count, 0) << StrategyName(s);
     EXPECT_EQ(bu.mem.load_transactions, 0u) << StrategyName(s);
-    const int64_t empty_launches =
-        s == Strategy::kNaiveConcurrent
-            ? static_cast<int64_t>(result.value().trace.levels.size())
-            : 0;
-    EXPECT_EQ(bu.launch_count, empty_launches) << StrategyName(s);
+    EXPECT_EQ(bu.launch_count, 0) << StrategyName(s);
   }
+}
+
+TEST(StrategiesTest, DirectionRuleBoundaries) {
+  TraversalOptions options;  // alpha 14, beta 24
+  // Top-down turns bottom-up only when frontier edges exceed
+  // unexplored / alpha: 140 / 14 = 10.
+  EXPECT_FALSE(NextBottomUp(false, 10, 140, 0, 240, options));
+  EXPECT_TRUE(NextBottomUp(false, 11, 140, 0, 240, options));
+  // Bottom-up stays until new visits fall below pairs / beta: 240 / 24 =
+  // 10.
+  EXPECT_TRUE(NextBottomUp(true, 0, 140, 10, 240, options));
+  EXPECT_FALSE(NextBottomUp(true, 0, 140, 9, 240, options));
+  // Each direction reads only its own test.
+  EXPECT_FALSE(NextBottomUp(false, 10, 140, 1000, 240, options));
+  EXPECT_TRUE(NextBottomUp(true, 1000, 140, 10, 240, options));
+  // Both thresholds truncate to integers: 150 / 14 = 10.7 -> 10 and
+  // 21 / 2 = 10.5 -> 10, so 10 new visits keep a bottom-up run going.
+  EXPECT_FALSE(NextBottomUp(false, 10, 150, 0, 240, options));
+  EXPECT_TRUE(NextBottomUp(false, 11, 150, 0, 240, options));
+  TraversalOptions half;
+  half.beta = 2.0;
+  EXPECT_TRUE(NextBottomUp(true, 0, 140, 10, 21, half));
+  EXPECT_FALSE(NextBottomUp(true, 0, 140, 9, 21, half));
+  // force_top_down wins over both tests.
+  TraversalOptions forced;
+  forced.force_top_down = true;
+  EXPECT_FALSE(NextBottomUp(false, 1000, 140, 0, 240, forced));
+  EXPECT_FALSE(NextBottomUp(true, 0, 140, 1000, 240, forced));
+}
+
+TEST(StrategiesTest, JointAndBitwiseTakeSameLevelDecisions) {
+  // Joint counts a level's visits and frontier edges during inspection,
+  // bitwise in its frontier sweep; the direction rule must see the same
+  // numbers from both, so every level runs in the same direction over
+  // queues of the same size.
+  int64_t configs = 0;
+  int64_t switches = 0;
+  for (const bool rmat : {true, false}) {
+    for (const int scale : {7, 8, 10}) {
+      for (const int edge_factor : {4, 8, 16}) {
+        const graph::Csr g =
+            rmat ? testing::MakeRmatGraph(scale, edge_factor)
+                 : testing::MakeUniformGraph(int64_t{1} << scale,
+                                             edge_factor);
+        for (const int group : {1, 16, 64, 100, 128, 192}) {
+          SCOPED_TRACE(std::string(rmat ? "rmat" : "uniform") + " scale " +
+                       std::to_string(scale) + " edge factor " +
+                       std::to_string(edge_factor) + " group " +
+                       std::to_string(group));
+          // Spread sources; groups larger than the graph repeat some.
+          std::vector<VertexId> sources;
+          for (int i = 0; i < group; ++i) {
+            sources.push_back(
+                static_cast<VertexId>((i * int64_t{37}) % g.vertex_count()));
+          }
+          gpusim::Device joint_device;
+          gpusim::Device bitwise_device;
+          auto joint = RunGroup(Strategy::kJointTraversal, g, sources, {},
+                                &joint_device);
+          auto bitwise =
+              RunGroup(Strategy::kBitwise, g, sources, {}, &bitwise_device);
+          ASSERT_TRUE(joint.ok());
+          ASSERT_TRUE(bitwise.ok());
+          const auto& jl = joint.value().trace.levels;
+          const auto& bl = bitwise.value().trace.levels;
+          ASSERT_EQ(jl.size(), bl.size());
+          for (size_t k = 0; k < jl.size(); ++k) {
+            EXPECT_EQ(jl[k].bottom_up, bl[k].bottom_up) << "level " << k + 1;
+            EXPECT_EQ(jl[k].jfq_size, bl[k].jfq_size) << "level " << k + 1;
+            EXPECT_EQ(jl[k].private_fq_sum, bl[k].private_fq_sum)
+                << "level " << k + 1;
+            EXPECT_EQ(jl[k].new_visits, bl[k].new_visits)
+                << "level " << k + 1;
+            if (k > 0 && jl[k].bottom_up != jl[k - 1].bottom_up) ++switches;
+          }
+          ++configs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(configs, 108);
+  // The sweep exercises both directions and the switches between them:
+  // more switches than configs.
+  EXPECT_GT(switches, configs);
 }
 
 TEST(StrategiesTest, TraceLevelsCoverTraversal) {
