@@ -6,6 +6,10 @@
 
 namespace ibfs::gpusim {
 
+/// Lanes per warp (CUDA SIMT width). The kernels size their per-warp lane
+/// buffers and per-warp atomic counts with it.
+inline constexpr int kWarpSize = 32;
+
 /// Static description of a simulated GPU. Defaults model the NVIDIA Tesla
 /// K40 the paper evaluates on (15 SMXs, 2880 cores, 288 GB/s GDDR5, 12 GB);
 /// K20() models the Stampede nodes of the scalability study.
@@ -20,7 +24,7 @@ struct DeviceSpec {
   /// Number of streaming multiprocessors.
   int sm_count = 15;
   /// Lanes per warp (CUDA SIMT width).
-  int warp_size = 32;
+  int warp_size = kWarpSize;
   /// Warps the device can issue truly in parallel (cores / warp_size).
   int parallel_warp_slots = 90;
   /// Core clock in GHz.

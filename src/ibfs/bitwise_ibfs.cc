@@ -1,7 +1,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "gpusim/warp.h"
+#include "gpusim/device_spec.h"
 #include "ibfs/bitwise_status_array.h"
 #include "ibfs/level_driver.h"
 #include "ibfs/status_array.h"

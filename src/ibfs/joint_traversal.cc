@@ -2,7 +2,7 @@
 #include <cstring>
 #include <vector>
 
-#include "gpusim/warp.h"
+#include "gpusim/device_spec.h"
 #include "ibfs/frontier_queue.h"
 #include "ibfs/level_driver.h"
 #include "ibfs/status_array.h"

@@ -2,8 +2,8 @@
 
 #include <array>
 
+#include "gpusim/device_spec.h"
 #include "gpusim/memory_model.h"
-#include "gpusim/warp.h"
 
 namespace ibfs {
 namespace {

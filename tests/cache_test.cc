@@ -3,8 +3,7 @@
 // service-level integration — cache hits resolve at admission with
 // bit-identical answers, corrupted entries are quarantined and
 // re-executed, and the cache never changes depths under any combination
-// of executor width and injected faults. Every suite name starts with
-// "Cache" so the tsan preset's test filter picks all of it up.
+// of executor width and injected faults.
 #include <algorithm>
 #include <cstdio>
 #include <future>

@@ -4,8 +4,6 @@
 // fault-free run whenever it reports OK), the device router's circuit
 // breakers, the service's deadline / shedding / degraded-fallback
 // behavior, and the chaos harness plus its resilience-report validator.
-// Suite names start with "Fault", "Resilient", or "Chaos" so the tsan
-// preset's test filter picks all of it up.
 #include <future>
 #include <sstream>
 #include <string>

@@ -6,10 +6,10 @@
 // the CPU-fallback path, cache behavior across a failover, elastic joins
 // with targeted cache warmup, in-order replica failover reads, replica
 // cache fan-out and mismatch quarantine, and the chaos harness +
-// fleet-report validator. Suite names start with "Fleet" or "HashRing" so
-// the tsan preset's filter picks them up.
+// fleet-report validator.
 #include <algorithm>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -19,6 +19,7 @@
 #include "baselines/reference_bfs.h"
 #include "fleet/fleet.h"
 #include "fleet/fleet_workload.h"
+#include "gen/benchmarks.h"
 #include "graph/components.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -417,6 +418,42 @@ TEST(FleetParityTest, MultiSourceScatterMatchesSingleService) {
   EXPECT_GT(drive.value().multi_queries, 0);
   EXPECT_EQ(drive.value().checksum,
             FoldDriveChecksum(baseline.value().results));
+}
+
+// The fleet parity tests compare each fleet against a single service on
+// the same workload. This pins that single-service answer fold itself on
+// the PK preset: 1 s of 400 qps Poisson arrivals (seed 2016), bitwise in
+// GroupBy batches of up to 64.
+TEST(FleetParityTest, PkSingleServiceChecksumMatchesGolden) {
+  auto generated = gen::GenerateBenchmark(gen::BenchmarkId::kPK);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  const graph::Csr& graph = generated.value();
+  service::WorkloadOptions workload;
+  workload.arrival = service::ArrivalProcess::kPoisson;
+  workload.qps = 400.0;
+  workload.duration_s = 1.0;
+  workload.seed = 2016;
+  auto events = service::GenerateArrivals(graph, workload);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  EXPECT_EQ(events.value().size(), 388u);
+
+  service::ServiceOptions options;
+  options.max_batch = 64;
+  options.max_delay_ms = 2.0;
+  options.execute_threads = 2;
+  options.keep_depths = false;
+  options.engine.strategy = Strategy::kBitwise;
+  options.engine.grouping = GroupingPolicy::kGroupBy;
+  auto svc = service::BfsService::Create(&graph, options);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  std::vector<std::future<service::QueryResult>> futures;
+  for (const service::WorkloadEvent& event : events.value()) {
+    futures.push_back(svc.value()->Submit(event.source));
+  }
+  std::vector<service::QueryResult> results;
+  for (auto& future : futures) results.push_back(future.get());
+  svc.value()->Shutdown();
+  EXPECT_EQ(FoldDriveChecksum(results), 16131961355110028984ULL);
 }
 
 TEST(FleetScatterTest, CombinedChecksumIsShardCountInvariant) {

@@ -2,9 +2,8 @@
 // plumbing through the service: bounded ring semantics, schema-validated
 // dumps, trigger rate limiting, the tracer's per-thread event cap, and an
 // end-to-end serve run checking that access-log query ids line up with
-// the "ctx" trace-context args on the spans that executed them. Every
-// suite name starts with "Flight" so the tsan preset's filter includes
-// this file (the e2e test drives the real multi-threaded service).
+// the "ctx" trace-context args on the spans that executed them (the e2e
+// test drives the real multi-threaded service).
 #include <cstdio>
 #include <fstream>
 #include <set>

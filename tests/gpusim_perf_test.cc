@@ -10,6 +10,8 @@
 // The same contract holds the bitwise kernel to its per-width
 // predecessor: the two- and three-word configs and the level-trace sums
 // were captured from that kernel before it became one width-generic path.
+// The accounting-loop and R-MAT scale 14 sweep goldens were captured when
+// the fast path landed.
 //
 // The arithmetic argument for why exact equality is achievable: all issue
 // costs in DeviceSpec are dyadic rationals (8.0, 32.0, 0.5, 0.125), so
@@ -29,7 +31,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cluster_engine.h"
 #include "core/engine.h"
+#include "gpusim/device.h"
 #include "graph/components.h"
 #include "test_util.h"
 #include "util/checksum.h"
@@ -340,6 +344,72 @@ TEST(GpusimPerfEquivalence, MatchesPreRefactorGoldensParallel) {
                   /*threads=*/8);
     ExpectMatchesGolden(observed, kGoldens[i],
                         ConfigName(kConfigs[i]) + "/threads=8");
+  }
+}
+
+// The accounting layer alone: 2000 kernels of 2000 calls each, shaped like
+// a bottom-up inner loop (one small contiguous row load, a word of
+// compute, shared traffic, an atomic every 16th call) with no graph work.
+TEST(GpusimPerfEquivalence, AccountingLoopMatchesGolden) {
+  gpusim::Device device;
+  for (int k = 0; k < 2000; ++k) {
+    auto scope = device.BeginKernel(k % 2 == 0 ? "td_inspect" : "bu_inspect");
+    scope.BeginItem();
+    for (int c = 0; c < 2000; ++c) {
+      scope.LoadContiguous(static_cast<int64_t>(c) * 3, 2, 8);
+      scope.Compute(2);
+      scope.SharedBytes(16);
+      if ((c & 15) == 0) scope.Atomic(1);
+    }
+    scope.EndItem();
+  }
+  EXPECT_EQ(device.elapsed_seconds(), 0.072883221476510773);
+  EXPECT_EQ(device.totals().mem.load_transactions, 4250000u);
+}
+
+// The bitwise and joint kernels on a larger graph than the golden table's:
+// R-MAT scale 14, edge factor 16, 256 giant-component sources in GroupBy
+// groups of 64, one host thread. Both strategies must give the same depths.
+TEST(GpusimPerfEquivalence, Rmat14SweepsMatchGoldens) {
+  const graph::Csr graph =
+      MakeRmatGraph(/*scale=*/14, /*edge_factor=*/16, /*seed=*/42);
+  const std::vector<graph::VertexId> sources =
+      graph::SampleConnectedSources(graph, 256, 2016);
+  struct Sweep {
+    Strategy strategy;
+    double sim_seconds;
+    uint64_t load_transactions;
+    uint64_t store_transactions;
+    uint64_t atomic_ops;
+  };
+  const Sweep kSweeps[] = {
+      {Strategy::kBitwise, 0.00025630287099179716, 654100, 99151, 224980},
+      {Strategy::kJointTraversal, 0.00087487674869500391, 3393170, 584582,
+       4160},
+  };
+  for (const Sweep& sweep : kSweeps) {
+    SCOPED_TRACE(StrategyName(sweep.strategy));
+    EngineOptions options;
+    options.strategy = sweep.strategy;
+    options.grouping = GroupingPolicy::kGroupBy;
+    options.group_size = 64;
+    options.threads = 1;
+    options.traversal.collect_instance_stats = false;
+    // Counters come from the serve-path configuration, which records no
+    // depths (bitwise then skips its depth stores); a second run with
+    // depth recording supplies the checksum.
+    options.keep_depths = false;
+    auto run = Engine(&graph, options).Run(sources);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const EngineResult& result = run.value();
+    EXPECT_EQ(result.sim_seconds, sweep.sim_seconds);
+    EXPECT_EQ(result.totals.mem.load_transactions, sweep.load_transactions);
+    EXPECT_EQ(result.totals.mem.store_transactions, sweep.store_transactions);
+    EXPECT_EQ(result.totals.mem.atomic_ops, sweep.atomic_ops);
+    options.keep_depths = true;
+    auto depths = Engine(&graph, options).Run(sources);
+    ASSERT_TRUE(depths.ok()) << depths.status().ToString();
+    EXPECT_EQ(DepthChecksum(depths.value().groups), 0x08733d27aae1c926ULL);
   }
 }
 

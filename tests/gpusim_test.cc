@@ -4,7 +4,6 @@
 #include "gpusim/device.h"
 #include "gpusim/device_spec.h"
 #include "gpusim/memory_model.h"
-#include "gpusim/warp.h"
 #include "gtest/gtest.h"
 
 namespace ibfs::gpusim {
@@ -76,27 +75,6 @@ TEST(MemoryModelTest, CountersAddAndDerive) {
   EXPECT_EQ(b.load_requests, 5u);
   EXPECT_EQ(b.DramBytes(128), (15 + 4 + 1) * 128);
   EXPECT_DOUBLE_EQ(b.LoadTransactionsPerRequest(), 3.0);
-}
-
-TEST(WarpTest, BallotSetsLaneBits) {
-  const bool preds[] = {true, false, true, true};
-  EXPECT_EQ(Ballot({preds, 4}), 0b1101u);
-}
-
-TEST(WarpTest, AnyAndAll) {
-  const bool none[] = {false, false};
-  const bool some[] = {false, true};
-  const bool all[] = {true, true};
-  EXPECT_FALSE(Any({none, 2}));
-  EXPECT_TRUE(Any({some, 2}));
-  EXPECT_FALSE(All({some, 2}));
-  EXPECT_TRUE(All({all, 2}));
-}
-
-TEST(WarpTest, LeaderLane) {
-  EXPECT_EQ(LeaderLane(0), -1);
-  EXPECT_EQ(LeaderLane(0b1000), 3);
-  EXPECT_EQ(LeaderLane(0b1001), 0);
 }
 
 TEST(DeviceSpecTest, PresetsAreDistinct) {

@@ -3,9 +3,8 @@
 // percentiles, SLO spec parsing and multi-window burn-rate alerting
 // (fire/clear transitions, empty-window behaviour), the access log's
 // JSONL rows, the Prometheus text renderer, atomic file publication, and
-// the periodic exporter. Every suite name starts with "Live" or "Slo" so
-// the tsan preset's test filter picks all of it up. No test here reads a
-// real clock: timestamps are explicit, which is the module's contract.
+// the periodic exporter. No test here reads a real clock: timestamps are
+// explicit, which is the module's contract.
 #include <cmath>
 #include <cstdio>
 #include <fstream>

@@ -7,6 +7,7 @@
 
 #include "core/cluster_engine.h"
 #include "core/engine.h"
+#include "gen/benchmarks.h"
 #include "gpusim/memory_model.h"
 #include "graph/builder.h"
 #include "graph/components.h"
@@ -406,6 +407,78 @@ TEST(RunPartitionedTest, ReportsPartitionAccounting) {
   EXPECT_GT(res.teps, 0.0);
   EXPECT_FALSE(res.phases.empty());
   EXPECT_GT(res.totals.seconds, 0.0);
+}
+
+// The partitioned engine on the PK preset: 64 giant-component sources,
+// bitwise in GroupBy groups of 32, at P in {1, 2, 4, 8} under both
+// exchange schedules (P=1 exchanges nothing, so one row covers it).
+// Every field is deterministic simulated output, compared bit for bit.
+TEST(RunPartitionedTest, PkPointsMatchGoldens) {
+  auto generated = gen::GenerateBenchmark(gen::BenchmarkId::kPK);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  const graph::Csr& g = generated.value();
+  const auto sources = graph::SampleConnectedSources(g, 64, 2016);
+  EngineOptions options = ParityOptions(Strategy::kBitwise);
+  options.group_size = 32;
+  options.threads = 1;
+  Engine engine(&g, options);
+  auto baseline = engine.Run(sources);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  const uint64_t kChecksum = 0x5ba2a237a323a0a9ULL;
+  EXPECT_EQ(DepthChecksum(baseline.value().groups), kChecksum);
+
+  using gpusim::CommSchedule;
+  struct Point {
+    int partitions;
+    CommSchedule schedule;
+    double compute_seconds;
+    double comm_seconds;
+    double sim_seconds;
+    int64_t bytes_on_wire;
+    int64_t rounds;
+    int64_t supersteps;
+    double edge_imbalance;
+  };
+  const Point kPoints[] = {
+      {1, CommSchedule::kAllGather, 0.00026469033557046978, 0,
+       0.00026469033557046978, 0, 0, 14, 1},
+      {2, CommSchedule::kAllGather, 0.00023220199105145409,
+       8.5829333333333328e-05, 0.0003180313243847874, 379904, 14, 14,
+       1.0000461063211767},
+      {2, CommSchedule::kButterfly, 0.00023220199105145409,
+       8.5829333333333328e-05, 0.0003180313243847874, 379904, 14, 14,
+       1.0000461063211767},
+      {4, CommSchedule::kAllGather, 0.00022374679343773303,
+       0.00023867200000000002, 0.00046241879343773308, 1376256, 42, 14,
+       1.0022284721902039},
+      {4, CommSchedule::kButterfly, 0.000223746793437733, 0.000168672,
+       0.00039241879343773301, 1376256, 28, 14, 1.0022284721902039},
+      {8, CommSchedule::kAllGather, 0.00022135151379567493,
+       0.00054435733333333325, 0.00076570884712900814, 5218304, 98, 14,
+       1.0080686062059108},
+      {8, CommSchedule::kButterfly, 0.00022135151379567479,
+       0.00026435733333333332, 0.00048570884712900811, 5218304, 42, 14,
+       1.0080686062059108},
+  };
+  for (const Point& point : kPoints) {
+    SCOPED_TRACE(::testing::Message()
+                 << "P=" << point.partitions << " "
+                 << gpusim::CommScheduleName(point.schedule));
+    PartitionRunOptions prun;
+    prun.partitions = point.partitions;
+    prun.schedule = point.schedule;
+    auto run = RunPartitioned(g, sources, options, prun);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const PartitionedRunResult& res = run.value();
+    EXPECT_EQ(DepthChecksum(res.groups), kChecksum);
+    EXPECT_EQ(res.compute_seconds, point.compute_seconds);
+    EXPECT_EQ(res.comm_seconds, point.comm_seconds);
+    EXPECT_EQ(res.sim_seconds, point.sim_seconds);
+    EXPECT_EQ(res.bytes_on_wire, point.bytes_on_wire);
+    EXPECT_EQ(res.comm_rounds, point.rounds);
+    EXPECT_EQ(res.supersteps, point.supersteps);
+    EXPECT_EQ(res.edge_imbalance, point.edge_imbalance);
+  }
 }
 
 }  // namespace

@@ -2,8 +2,7 @@
 // GroupSources planning path, batcher close semantics (size vs deadline vs
 // shutdown), drain guarantees, duplicate-query fan-out, workload
 // generation, determinism across executor thread counts, and the
-// dynamic-vs-oracle sharing SLO. Every suite name starts with "Service" so
-// the tsan preset's test filter picks all of it up.
+// dynamic-vs-oracle sharing SLO.
 #include <algorithm>
 #include <atomic>
 #include <future>
