@@ -19,6 +19,14 @@ Csr::Csr(std::vector<EdgeIndex> row_offsets, std::vector<VertexId> adjacency,
   IBFS_CHECK(in_row_offsets_.front() == 0);
   IBFS_CHECK(in_row_offsets_.back() == in_adjacency_.size());
   IBFS_CHECK(adjacency_.size() == in_adjacency_.size());
+  symmetric_ =
+      row_offsets_ == in_row_offsets_ && adjacency_ == in_adjacency_;
+  if (symmetric_) {
+    // Move-assign empty vectors: `= {}` would pick the initializer-list
+    // overload, which keeps the capacity.
+    in_row_offsets_ = std::vector<EdgeIndex>();
+    in_adjacency_ = std::vector<VertexId>();
+  }
 }
 
 uint64_t Csr::Fingerprint() const {
@@ -41,10 +49,10 @@ uint64_t Csr::Fingerprint() const {
 }
 
 int64_t Csr::StorageBytes() const {
-  return static_cast<int64_t>(row_offsets_.size() * sizeof(EdgeIndex) +
-                              adjacency_.size() * sizeof(VertexId) +
-                              in_row_offsets_.size() * sizeof(EdgeIndex) +
-                              in_adjacency_.size() * sizeof(VertexId));
+  // The device holds the in-CSR as its own arrays, shared on the host or
+  // not; the constructor checked both have the out-CSR's sizes.
+  return 2 * static_cast<int64_t>(row_offsets_.size() * sizeof(EdgeIndex) +
+                                  adjacency_.size() * sizeof(VertexId));
 }
 
 }  // namespace ibfs::graph

@@ -24,13 +24,18 @@ inline constexpr VertexId kInvalidVertex = ~VertexId{0};
 /// the paper uses (Section 8.1). Bottom-up traversal searches a vertex's
 /// *in*-neighbors for a visited parent, so the graph also carries the reverse
 /// (in-edge) CSR. For the undirected benchmark graphs the two are identical
-/// by construction (each undirected edge is stored as two directed edges).
+/// by construction (each undirected edge is stored as two directed edges),
+/// so a symmetric graph keeps one copy on the host and the in-accessors
+/// return the out-arrays. StorageBytes still counts both copies: it is the
+/// simulated device's footprint, where the kernels address the in-CSR as
+/// its own arrays.
 class Csr {
  public:
   /// Builds a CSR from already-validated arrays. `row_offsets` has
   /// vertex_count+1 entries; `row_offsets.back() == adjacency.size()`.
   /// Prefer GraphBuilder (builder.h) which sorts, deduplicates, and
-  /// validates; this constructor IBFS_CHECKs structural invariants.
+  /// validates; this constructor IBFS_CHECKs structural invariants and
+  /// drops the in-arrays when they equal the out-arrays.
   Csr(std::vector<EdgeIndex> row_offsets, std::vector<VertexId> adjacency,
       std::vector<EdgeIndex> in_row_offsets,
       std::vector<VertexId> in_adjacency);
@@ -54,23 +59,25 @@ class Csr {
 
   /// In-neighbors of `v` (used by bottom-up parent search).
   std::span<const VertexId> InNeighbors(VertexId v) const {
-    return {in_adjacency_.data() + in_row_offsets_[v],
-            in_adjacency_.data() + in_row_offsets_[v + 1]};
+    const std::vector<EdgeIndex>& offsets = InOffsets();
+    const VertexId* const adjacency = InAdjacency().data();
+    return {adjacency + offsets[v], adjacency + offsets[v + 1]};
   }
 
   int64_t OutDegree(VertexId v) const {
     return static_cast<int64_t>(row_offsets_[v + 1] - row_offsets_[v]);
   }
   int64_t InDegree(VertexId v) const {
-    return static_cast<int64_t>(in_row_offsets_[v + 1] - in_row_offsets_[v]);
+    const std::vector<EdgeIndex>& offsets = InOffsets();
+    return static_cast<int64_t>(offsets[v + 1] - offsets[v]);
   }
 
   /// Raw CSR arrays, exposed for the simulator's address-level memory
   /// accounting (the kernels compute which 128-byte segments a warp touches).
   std::span<const EdgeIndex> row_offsets() const { return row_offsets_; }
   std::span<const VertexId> adjacency() const { return adjacency_; }
-  std::span<const EdgeIndex> in_row_offsets() const { return in_row_offsets_; }
-  std::span<const VertexId> in_adjacency() const { return in_adjacency_; }
+  std::span<const EdgeIndex> in_row_offsets() const { return InOffsets(); }
+  std::span<const VertexId> in_adjacency() const { return InAdjacency(); }
 
   /// Bytes of device memory the graph occupies (the S term of the paper's
   /// group-size bound N <= (M - S - |JFQ|) / |SA|).
@@ -84,10 +91,19 @@ class Csr {
   uint64_t Fingerprint() const;
 
  private:
+  const std::vector<EdgeIndex>& InOffsets() const {
+    return symmetric_ ? row_offsets_ : in_row_offsets_;
+  }
+  const std::vector<VertexId>& InAdjacency() const {
+    return symmetric_ ? adjacency_ : in_adjacency_;
+  }
+
   std::vector<EdgeIndex> row_offsets_;
   std::vector<VertexId> adjacency_;
   std::vector<EdgeIndex> in_row_offsets_;
   std::vector<VertexId> in_adjacency_;
+  // The in-arrays equal the out-arrays and were dropped.
+  bool symmetric_ = false;
 };
 
 }  // namespace ibfs::graph

@@ -92,7 +92,7 @@ class BitwiseKernel {
   // top-down queue (swapped into jfq_ when top-down wins) and its masks.
   std::vector<VertexId> next_jfq_;
   std::vector<uint64_t> next_masks_;
-  // Bottom-up candidate queue collected *inside* RunBottomUpLevel: each
+  // Bottom-up candidate queue collected *inside* BottomUp: each
   // item owns its row, so it knows at EndItem whether the row is still
   // unsaturated. When consecutive levels run bottom-up the frontier
   // generation swaps this in instead of rescanning every vertex (rows only
@@ -307,76 +307,42 @@ int64_t BitwiseKernel<kW>::BottomUp(int /*level*/,
     scope->BeginItem();
     uint64_t* const row = cw + static_cast<int64_t>(f) * words;
 
-    // Unset valid bits of row f (= logical inspections each neighbor scan
-    // performs), counted once here and then lowered by the bits each
-    // parent adds: the early-termination test is one integer compare.
+    // Unset valid bits of row f: the logical inspections each parent scan
+    // performs.
     int64_t unset_bits = 0;
     for (int w = 0; w < words; ++w) {
       unset_bits += PopCount(~row[w] & ValidMask(w, words));
     }
+    const int64_t initial_unset = unset_bits;
 
+    // One pass per parent, branching on nothing but the exit: the parent
+    // is inspected at the row's current unset count, its row is ORed in,
+    // and the bits it adds are taken off the count. Parent rows hold only
+    // valid bits, so every gained bit was an unset one. Rows entering the
+    // bottom-up queue are unsaturated by construction (both queue builders
+    // filter all-ones rows and bits only accumulate), so the count first
+    // reaches zero on the parent that completes the row. Early termination
+    // stops there: every instance has found f's parent and the thread is
+    // freed for other frontiers (Section 6).
     const auto neighbors = graph_.InNeighbors(f);
     const VertexId* const nb = neighbors.data();
     const int64_t n_nbrs = static_cast<int64_t>(neighbors.size());
-    const auto parent = [&](int64_t at) {
-      return pw + static_cast<int64_t>(nb[at]) * words;
-    };
-    bool changed = false;
-    // Inspections accrue at the *current* unset-bit count, which only
-    // moves when the row gains bits — so the charge is accumulated per
-    // stretch of unchanged scans (scan_base marks the stretch start)
-    // instead of per neighbor. Same total, fewer adds.
-    int64_t scan_base = 0;
-    // Exact scan of parent `at`; true when early termination stops the
-    // scan there. Rows entering the bottom-up queue are unsaturated by
-    // construction (both queue builders filter all-ones rows and bits only
-    // accumulate), so unset_bits > 0 until an update drives it to zero —
-    // the test needs to run only when a parent adds bits, and stopping
-    // there is exactly where a per-neighbor test would have stopped.
-    // Parent rows hold only valid bits, so every gained bit was one of
-    // the row's unset valid bits.
-    const auto scan_one = [&](int64_t at) {
-      const uint64_t* const p = parent(at);
-      int gained_bits = 0;
+    int64_t idx = 0;
+    for (; idx < n_nbrs; ++idx) {
+      const uint64_t* const p = pw + static_cast<int64_t>(nb[idx]) * words;
+      inspections += unset_bits;
       for (int w = 0; w < words; ++w) {
-        gained_bits += PopCount(p[w] & ~row[w]);
+        unset_bits -= PopCount(p[w] & ~row[w]);
         row[w] |= p[w];
       }
-      if (gained_bits == 0) return false;
-      // Parent `at` itself was inspected at the pre-update count.
-      inspections += unset_bits * (at + 1 - scan_base);
-      scan_base = at + 1;
-      unset_bits -= gained_bits;
-      changed = true;
-      // Early termination: every instance has found f's parent; the
-      // thread is freed for other frontiers (Section 6).
-      return can_terminate_early && unset_bits == 0;
-    };
-    // Blocks of four parents whose combined rows add nothing (the common
-    // case once the group saturates) are skipped with one OR-tree and one
-    // compare per word; a block that would change the row is replayed one
-    // parent at a time so the inspection stretches and the
-    // early-termination point stay exact.
-    int64_t idx = 0;
-    bool terminated = false;
-    while (!terminated && idx + 4 <= n_nbrs) {
-      uint64_t adds = 0;
-      for (int w = 0; w < words; ++w) {
-        adds |= (parent(idx)[w] | parent(idx + 1)[w] | parent(idx + 2)[w] |
-                 parent(idx + 3)[w]) &
-                ~row[w];
-      }
-      if (adds == 0) {
-        idx += 4;
-        continue;
-      }
-      for (const int64_t e = idx + 4; !terminated && idx < e; ++idx) {
-        terminated = scan_one(idx);
+      if (can_terminate_early && unset_bits == 0) {
+        ++idx;
+        break;
       }
     }
-    for (; !terminated && idx < n_nbrs; ++idx) terminated = scan_one(idx);
     const int64_t scanned = idx;
-    inspections += unset_bits * (scanned - scan_base);
+    // The row gained bits exactly when its unset count moved.
+    const bool changed = unset_bits != initial_unset;
 
     if (unset_bits > 0) {
       // Row f is still unsaturated: it stays on the bottom-up frontier.
@@ -392,8 +358,8 @@ int64_t BitwiseKernel<kW>::BottomUp(int /*level*/,
       // scanned parent-row loads + the initial load of row f itself.
       row_loads.ObserveAlignedRuns(scanned + 1);
     } else {
-      // Rows straddle segments unevenly: every scanned parent, skipped
-      // blocks included, is charged at its own residue.
+      // Rows straddle segments unevenly: every scanned parent is charged
+      // at its own residue.
       row_loads.Observe(cur_.ElementIndex(f, 0));
       for (int64_t k = 0; k < scanned; ++k) {
         row_loads.Observe(prev_.ElementIndex(nb[k], 0));

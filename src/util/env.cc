@@ -1,6 +1,5 @@
 #include "util/env.h"
 
-#include <cctype>
 #include <cstdlib>
 
 namespace ibfs {
@@ -12,41 +11,6 @@ int64_t EnvInt64(const char* name, int64_t def) {
   const long long parsed = std::strtoll(raw, &end, 10);
   if (end == raw || *end != '\0') return def;
   return parsed;
-}
-
-int EnvInt(const char* name, int def) {
-  return static_cast<int>(EnvInt64(name, def));
-}
-
-double EnvDouble(const char* name, double def) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return def;
-  char* end = nullptr;
-  const double parsed = std::strtod(raw, &end);
-  if (end == raw || *end != '\0') return def;
-  return parsed;
-}
-
-bool EnvBool(const char* name, bool def) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return def;
-  std::string lowered;
-  for (const char* p = raw; *p != '\0'; ++p) {
-    lowered.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(*p))));
-  }
-  if (lowered == "0" || lowered == "false" || lowered == "off" ||
-      lowered == "no") {
-    return false;
-  }
-  if (lowered == "1" || lowered == "true" || lowered == "on" ||
-      lowered == "yes") {
-    return true;
-  }
-  char* end = nullptr;
-  const long long parsed = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0') return def;
-  return parsed != 0;
 }
 
 std::string EnvString(const char* name, const std::string& def) {

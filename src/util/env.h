@@ -11,19 +11,6 @@ namespace ibfs {
 /// the scaled-down defaults can be grown without recompiling.
 int64_t EnvInt64(const char* name, int64_t def);
 
-/// EnvInt64 narrowed to int — most knobs (thread counts, scales, group
-/// sizes) land in int-typed options, so this keeps the cast in one place.
-int EnvInt(const char* name, int def);
-
-/// Reads a floating-point knob from the environment, falling back to `def`
-/// when unset or unparsable (e.g. IBFS_DURATION for the serving bench).
-double EnvDouble(const char* name, double def);
-
-/// Reads a boolean knob: 0/false/off/no (case-insensitive) are false, any
-/// other non-empty parsable value is true; unset or unparsable falls back
-/// to `def`.
-bool EnvBool(const char* name, bool def);
-
 /// Reads a string knob from the environment.
 std::string EnvString(const char* name, const std::string& def);
 

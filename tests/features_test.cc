@@ -33,7 +33,10 @@ TEST(BinaryIoTest, RoundTripsExactly) {
     const auto ib = h.InNeighbors(static_cast<VertexId>(v));
     ASSERT_EQ(std::vector<VertexId>(ia.begin(), ia.end()),
               std::vector<VertexId>(ib.begin(), ib.end()));
+    // The undirected graph reloads with one shared adjacency.
+    EXPECT_EQ(ib.data(), h.OutNeighbors(static_cast<VertexId>(v)).data());
   }
+  EXPECT_EQ(h.StorageBytes(), g.StorageBytes());
   std::remove(path.c_str());
 }
 

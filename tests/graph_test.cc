@@ -26,6 +26,15 @@ TEST(BuilderTest, BuildsSimpleDirectedGraph) {
   EXPECT_EQ(g.OutDegree(0), 2);
   EXPECT_EQ(g.OutDegree(2), 0);
   EXPECT_EQ(g.InDegree(2), 2);
+  // A directed graph keeps its own reverse lists.
+  EXPECT_NE(g.in_adjacency().data(), g.adjacency().data());
+  EXPECT_EQ(g.InDegree(0), 0);
+  EXPECT_TRUE(g.InNeighbors(0).empty());
+  ASSERT_EQ(g.InNeighbors(1).size(), 1u);
+  EXPECT_EQ(g.InNeighbors(1)[0], 0u);
+  ASSERT_EQ(g.InNeighbors(2).size(), 2u);
+  EXPECT_EQ(g.InNeighbors(2)[0], 0u);
+  EXPECT_EQ(g.InNeighbors(2)[1], 1u);
 }
 
 TEST(BuilderTest, UndirectedEdgesStoreBothDirections) {
@@ -95,13 +104,19 @@ TEST(BuilderTest, AddEdgesBulk) {
 
 TEST(CsrTest, ReverseAdjacencyMirrorsForward) {
   const Csr g = ibfs::testing::MakeSmallGraph();
-  // For an undirected build, in-neighbors equal out-neighbors.
+  // For an undirected build, in-neighbors equal out-neighbors, and the
+  // graph keeps one shared copy of them.
   for (int64_t v = 0; v < g.vertex_count(); ++v) {
     const auto out = g.OutNeighbors(static_cast<VertexId>(v));
     const auto in = g.InNeighbors(static_cast<VertexId>(v));
     ASSERT_EQ(out.size(), in.size());
     for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], in[i]);
+    EXPECT_EQ(in.data(), out.data());
+    EXPECT_EQ(g.InDegree(static_cast<VertexId>(v)),
+              g.OutDegree(static_cast<VertexId>(v)));
   }
+  EXPECT_EQ(g.in_adjacency().data(), g.adjacency().data());
+  EXPECT_EQ(g.in_row_offsets().data(), g.row_offsets().data());
 }
 
 TEST(CsrTest, EdgeCountConsistentWithDegrees) {
@@ -114,8 +129,32 @@ TEST(CsrTest, EdgeCountConsistentWithDegrees) {
 }
 
 TEST(CsrTest, StorageBytesPositiveAndPlausible) {
-  const Csr g = ibfs::testing::MakeSmallGraph();
-  EXPECT_GT(g.StorageBytes(), g.edge_count() * 4);
+  // 9 vertices, 24 directed edges: (10 offsets * 8 + 24 ids * 4) per CSR,
+  // out and in. Sharing the host copy must not shrink the simulated
+  // device's footprint, which caps Engine::MaxGroupSize.
+  EXPECT_EQ(ibfs::testing::MakeSmallGraph().StorageBytes(), 352);
+}
+
+TEST(CsrTest, MovedGraphsAnswerInNeighbors) {
+  const Csr reference = ibfs::testing::MakeSmallGraph();
+  const auto expect_same = [&](const Csr& g) {
+    ASSERT_EQ(g.vertex_count(), reference.vertex_count());
+    EXPECT_EQ(g.StorageBytes(), reference.StorageBytes());
+    for (int64_t v = 0; v < g.vertex_count(); ++v) {
+      const auto id = static_cast<VertexId>(v);
+      const auto want = reference.InNeighbors(id);
+      const auto got = g.InNeighbors(id);
+      EXPECT_TRUE(
+          std::equal(got.begin(), got.end(), want.begin(), want.end()));
+      EXPECT_EQ(got.data(), g.OutNeighbors(id).data());
+    }
+  };
+  Csr moved = ibfs::testing::MakeSmallGraph();
+  const Csr constructed(std::move(moved));
+  expect_same(constructed);
+  Csr assigned = ibfs::testing::MakeDisconnectedGraph();
+  assigned = ibfs::testing::MakeSmallGraph();
+  expect_same(assigned);
 }
 
 TEST(IoTest, RoundTripsEdgeList) {
