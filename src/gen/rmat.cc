@@ -36,18 +36,15 @@ Result<graph::Csr> GenerateRmat(const RmatParams& params) {
       const double a = params.a * noise;
       const double r = prng.NextDouble() * (a + params.b + params.c +
                                             (1.0 - abc));
-      uint64_t src_bit = 0;
-      uint64_t dst_bit = 0;
-      if (r < a) {
-        // quadrant A: (0, 0)
-      } else if (r < a + params.b) {
-        dst_bit = 1;  // quadrant B: (0, 1)
-      } else if (r < a + params.b + params.c) {
-        src_bit = 1;  // quadrant C: (1, 0)
-      } else {
-        src_bit = 1;  // quadrant D: (1, 1)
-        dst_bit = 1;
-      }
+      // Quadrants A (0, 0), B (0, 1), C (1, 0) and D (1, 1) split r's range
+      // at a, a + b and a + b + c. The bits come from the three comparisons
+      // through bitwise operators only: `&&`/`||` compile to branches here,
+      // and a random quadrant choice makes every branch unpredictable.
+      const uint64_t past_a = r >= a;
+      const uint64_t past_ab = r >= a + params.b;
+      const uint64_t past_abc = r >= a + params.b + params.c;
+      const uint64_t src_bit = past_ab;                             // C, D
+      const uint64_t dst_bit = (past_a & (past_ab ^ 1)) | past_abc;  // B, D
       src = (src << 1) | src_bit;
       dst = (dst << 1) | dst_bit;
     }

@@ -6,29 +6,24 @@
 namespace ibfs::graph {
 namespace {
 
-// Counting-sort an edge list into CSR arrays keyed by `key`, storing `value`.
-void EdgesToCsr(const std::vector<Edge>& edges, int64_t vertex_count,
-                bool key_is_src, std::vector<EdgeIndex>* offsets,
-                std::vector<VertexId>* adjacency) {
-  offsets->assign(static_cast<size_t>(vertex_count) + 1, 0);
-  for (const Edge& e : edges) {
-    const VertexId key = key_is_src ? e.src : e.dst;
-    ++(*offsets)[key + 1];
-  }
-  for (size_t v = 1; v < offsets->size(); ++v) (*offsets)[v] += (*offsets)[v - 1];
-  adjacency->resize(edges.size());
-  std::vector<EdgeIndex> cursor(offsets->begin(), offsets->end() - 1);
-  for (const Edge& e : edges) {
-    const VertexId key = key_is_src ? e.src : e.dst;
-    const VertexId value = key_is_src ? e.dst : e.src;
-    (*adjacency)[cursor[key]++] = value;
-  }
-  // Counting sort preserves no order among a vertex's neighbors; sort each
-  // list so traversal (and early termination) is deterministic.
-  for (int64_t v = 0; v < vertex_count; ++v) {
-    std::sort(adjacency->begin() + static_cast<int64_t>((*offsets)[v]),
-              adjacency->begin() + static_cast<int64_t>((*offsets)[v + 1]));
-  }
+constexpr auto kSrc = [](const Edge& e) { return e.src; };
+constexpr auto kDst = [](const Edge& e) { return e.dst; };
+constexpr auto kWhole = [](const Edge& e) { return e; };
+
+// One stable counting-sort pass keyed by `key`: writes `value(e)` for each
+// edge, in input order within a key, to `out` and returns the CSR offsets
+// (offsets[v] is where key v's run starts; the last entry is edges.size()).
+template <typename T, typename Key, typename Value>
+std::vector<EdgeIndex> CountingScatter(const std::vector<Edge>& edges,
+                                       int64_t vertex_count, Key key,
+                                       Value value, std::vector<T>* out) {
+  std::vector<EdgeIndex> offsets(static_cast<size_t>(vertex_count) + 1, 0);
+  for (const Edge& e : edges) ++offsets[key(e) + 1];
+  for (size_t v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
+  out->resize(edges.size());
+  std::vector<EdgeIndex> cursor(offsets.begin(), offsets.end() - 1);
+  for (const Edge& e : edges) (*out)[cursor[key(e)]++] = value(e);
+  return offsets;
 }
 
 }  // namespace
@@ -38,6 +33,7 @@ GraphBuilder::GraphBuilder(int64_t vertex_count)
 
 void GraphBuilder::AddEdge(VertexId src, VertexId dst) {
   edges_.push_back({src, dst});
+  directed_ = true;
 }
 
 void GraphBuilder::AddUndirectedEdge(VertexId u, VertexId v) {
@@ -47,6 +43,7 @@ void GraphBuilder::AddUndirectedEdge(VertexId u, VertexId v) {
 
 void GraphBuilder::AddEdges(const std::vector<Edge>& edges) {
   edges_.insert(edges_.end(), edges.begin(), edges.end());
+  directed_ |= !edges.empty();
 }
 
 Result<Csr> GraphBuilder::Build() && {
@@ -63,21 +60,28 @@ Result<Csr> GraphBuilder::Build() && {
                                 " outside vertex range");
     }
   }
-  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
+  // LSD radix sort on (src, dst): by dst, then stably by src.
+  {
+    std::vector<Edge> by_dst;
+    CountingScatter(edges_, vertex_count_, kDst, kWhole, &by_dst);
+    CountingScatter(by_dst, vertex_count_, kSrc, kWhole, &edges_);
+  }
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
 
-  std::vector<EdgeIndex> out_offsets;
-  std::vector<VertexId> out_adj;
-  EdgesToCsr(edges_, vertex_count_, /*key_is_src=*/true, &out_offsets,
-             &out_adj);
-  std::vector<EdgeIndex> in_offsets;
-  std::vector<VertexId> in_adj;
-  EdgesToCsr(edges_, vertex_count_, /*key_is_src=*/false, &in_offsets,
-             &in_adj);
-  return Csr(std::move(out_offsets), std::move(out_adj), std::move(in_offsets),
-             std::move(in_adj));
+  std::vector<VertexId> adjacency;
+  std::vector<EdgeIndex> row_offsets =
+      CountingScatter(edges_, vertex_count_, kSrc, kDst, &adjacency);
+  if (!directed_) {
+    // Every edge arrived with its reverse, so the in-CSR is the out-CSR.
+    return Csr(std::move(row_offsets), std::move(adjacency));
+  }
+  // Edges are in (src, dst) order, so a stable pass by dst leaves each
+  // in-list sorted by source.
+  std::vector<VertexId> in_adjacency;
+  std::vector<EdgeIndex> in_row_offsets =
+      CountingScatter(edges_, vertex_count_, kDst, kSrc, &in_adjacency);
+  return Csr(std::move(row_offsets), std::move(adjacency),
+             std::move(in_row_offsets), std::move(in_adjacency));
 }
 
 }  // namespace ibfs::graph

@@ -18,7 +18,7 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
-/// Accumulates an edge list and produces a validated Csr.
+/// Accumulates an edge list and produces a validated Csr in O(V + E).
 ///
 /// Matching the paper's preprocessing (Section 8.1): undirected inputs add
 /// each edge in both directions; for directed graphs the reverse adjacency is
@@ -41,13 +41,20 @@ class GraphBuilder {
 
   int64_t edge_count() const { return static_cast<int64_t>(edges_.size()); }
 
-  /// Sorts, deduplicates (keeping self-loops, as Graph500 TEPS counting
-  /// allows them), validates endpoints, and emits the CSR plus its reverse.
+  /// Validates endpoints, sorts by (src, dst) with two stable counting
+  /// sorts, and deduplicates (keeping self-loops, as Graph500 TEPS counting
+  /// allows them). A graph built only through AddUndirectedEdge is symmetric
+  /// by construction and gets the shared out/in adjacency directly; once an
+  /// edge came through AddEdge or AddEdges, one more counting pass builds
+  /// the in-CSR and Csr keeps it unless it equals the out-CSR.
   Result<Csr> Build() &&;
 
  private:
   int64_t vertex_count_;
   std::vector<Edge> edges_;
+  // Some edge came through AddEdge or AddEdges, so the set may be
+  // asymmetric.
+  bool directed_ = false;
 };
 
 }  // namespace ibfs::graph

@@ -29,6 +29,15 @@ Csr::Csr(std::vector<EdgeIndex> row_offsets, std::vector<VertexId> adjacency,
   }
 }
 
+Csr::Csr(std::vector<EdgeIndex> row_offsets, std::vector<VertexId> adjacency)
+    : row_offsets_(std::move(row_offsets)),
+      adjacency_(std::move(adjacency)),
+      symmetric_(true) {
+  IBFS_CHECK(!row_offsets_.empty());
+  IBFS_CHECK(row_offsets_.front() == 0);
+  IBFS_CHECK(row_offsets_.back() == adjacency_.size());
+}
+
 uint64_t Csr::Fingerprint() const {
   // The out-CSR determines the in-CSR (the builder derives one from the
   // other), so hashing row offsets + adjacency identifies the topology.

@@ -9,6 +9,8 @@
 
 namespace ibfs::graph {
 
+class GraphBuilder;
+
 /// Vertex identifier. 32 bits covers the scaled benchmark suite; the builder
 /// rejects graphs that would overflow.
 using VertexId = uint32_t;
@@ -24,18 +26,20 @@ inline constexpr VertexId kInvalidVertex = ~VertexId{0};
 /// the paper uses (Section 8.1). Bottom-up traversal searches a vertex's
 /// *in*-neighbors for a visited parent, so the graph also carries the reverse
 /// (in-edge) CSR. For the undirected benchmark graphs the two are identical
-/// by construction (each undirected edge is stored as two directed edges),
-/// so a symmetric graph keeps one copy on the host and the in-accessors
-/// return the out-arrays. StorageBytes still counts both copies: it is the
-/// simulated device's footprint, where the kernels address the in-CSR as
-/// its own arrays.
+/// by construction (each undirected edge is stored as two directed edges):
+/// GraphBuilder hands such a graph over with one copy, and the 4-array
+/// constructor drops in-arrays equal to the out-arrays, so a symmetric graph
+/// keeps one copy on the host and the in-accessors return the out-arrays.
+/// StorageBytes still counts both copies: it is the simulated device's
+/// footprint, where the kernels address the in-CSR as its own arrays.
 class Csr {
  public:
   /// Builds a CSR from already-validated arrays. `row_offsets` has
   /// vertex_count+1 entries; `row_offsets.back() == adjacency.size()`.
   /// Prefer GraphBuilder (builder.h) which sorts, deduplicates, and
   /// validates; this constructor IBFS_CHECKs structural invariants and
-  /// drops the in-arrays when they equal the out-arrays.
+  /// drops the in-arrays when they equal the out-arrays (an O(V + E)
+  /// comparison the binary loader and directed builds pay).
   Csr(std::vector<EdgeIndex> row_offsets, std::vector<VertexId> adjacency,
       std::vector<EdgeIndex> in_row_offsets,
       std::vector<VertexId> in_adjacency);
@@ -91,6 +95,13 @@ class Csr {
   uint64_t Fingerprint() const;
 
  private:
+  friend class GraphBuilder;
+
+  // A symmetric graph: the arrays serve as both the out- and the in-CSR.
+  // Only GraphBuilder, which knows every edge arrived with its reverse,
+  // skips the 4-array constructor's O(V + E) comparison this way.
+  Csr(std::vector<EdgeIndex> row_offsets, std::vector<VertexId> adjacency);
+
   const std::vector<EdgeIndex>& InOffsets() const {
     return symmetric_ ? row_offsets_ : in_row_offsets_;
   }

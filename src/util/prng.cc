@@ -10,25 +10,11 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Prng::Prng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(&sm);
-}
-
-uint64_t Prng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Prng::NextBounded(uint64_t bound) {
@@ -38,11 +24,6 @@ uint64_t Prng::NextBounded(uint64_t bound) {
     const uint64_t r = Next();
     if (r >= threshold) return r % bound;
   }
-}
-
-double Prng::NextDouble() {
-  // 53 high bits -> [0, 1) with full double precision.
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 bool Prng::NextBool(double p) {

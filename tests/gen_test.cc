@@ -1,4 +1,6 @@
 #include <cmath>
+#include <iterator>
+#include <string>
 
 #include "gen/benchmarks.h"
 #include "gen/rmat.h"
@@ -141,6 +143,41 @@ TEST(BenchmarksTest, GeneratesEveryPreset) {
                                             << (spec.base_scale - 2))
         << spec.name;
     EXPECT_GT(g.value().edge_count(), 0) << spec.name;
+  }
+}
+
+TEST(BenchmarksTest, PresetFingerprintsMatchGoldens) {
+  // Graph identity gated directly: every simulated golden, figure and
+  // benchmark workload is built on these exact graphs.
+  struct Golden {
+    BenchmarkId id;
+    int64_t vertices;
+    int64_t edges;
+    uint64_t fingerprint;
+  };
+  const Golden goldens[] = {
+      {BenchmarkId::kFB, 16384, 330227, 0x5f4a36e4f1985885ULL},
+      {BenchmarkId::kFR, 16384, 369122, 0x04d8394377613538ULL},
+      {BenchmarkId::kHW, 8192, 362616, 0xd40ccfd19bc0f6ecULL},
+      {BenchmarkId::kKG0, 4096, 392462, 0x2ed505f68a7c1803ULL},
+      {BenchmarkId::kKG1, 8192, 226207, 0x07f0a007f8d179f0ULL},
+      {BenchmarkId::kKG2, 16384, 426414, 0xfad04efe0b42a0b3ULL},
+      {BenchmarkId::kLJ, 8192, 182107, 0x08fd811fb7a84dacULL},
+      {BenchmarkId::kOR, 8192, 248717, 0x91a802213857e426ULL},
+      {BenchmarkId::kPK, 4096, 65067, 0xfacec29c25190a8fULL},
+      {BenchmarkId::kRD, 16384, 262014, 0x146bae99da2e8a6eULL},
+      {BenchmarkId::kRM, 8192, 496998, 0x2642096098fb250dULL},
+      {BenchmarkId::kTW, 16384, 160664, 0xe45e87223a1df5b9ULL},
+      {BenchmarkId::kWK, 8192, 81525, 0x0ac82b9c3a0fe114ULL},
+  };
+  ASSERT_EQ(std::size(goldens), AllBenchmarks().size());
+  for (const Golden& golden : goldens) {
+    const std::string& name = GetBenchmark(golden.id).name;
+    auto g = GenerateBenchmark(golden.id, /*scale_delta=*/0);
+    ASSERT_TRUE(g.ok()) << name << ": " << g.status().ToString();
+    EXPECT_EQ(g.value().vertex_count(), golden.vertices) << name;
+    EXPECT_EQ(g.value().edge_count(), golden.edges) << name;
+    EXPECT_EQ(g.value().Fingerprint(), golden.fingerprint) << name;
   }
 }
 

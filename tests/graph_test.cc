@@ -1,7 +1,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.h"
 #include "graph/csr.h"
@@ -9,6 +12,7 @@
 #include "graph/io.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "util/prng.h"
 
 namespace ibfs::graph {
 namespace {
@@ -100,6 +104,102 @@ TEST(BuilderTest, AddEdgesBulk) {
   auto result = std::move(builder).Build();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().edge_count(), 3);
+}
+
+// Checks `g` against the deduplicated edge set `edges`: out-lists ascending
+// by destination, in-lists ascending by source, and one shared copy of the
+// arrays exactly when the set is symmetric.
+void ExpectMatchesReference(
+    const Csr& g, int64_t vertex_count,
+    const std::set<std::pair<VertexId, VertexId>>& edges) {
+  ASSERT_EQ(g.vertex_count(), vertex_count);
+  ASSERT_EQ(g.edge_count(), static_cast<int64_t>(edges.size()));
+  std::vector<std::vector<VertexId>> out(static_cast<size_t>(vertex_count));
+  std::vector<std::vector<VertexId>> in(static_cast<size_t>(vertex_count));
+  bool symmetric = true;
+  for (const auto& [src, dst] : edges) {  // (src, dst) order
+    out[src].push_back(dst);
+    in[dst].push_back(src);
+    symmetric &= edges.contains({dst, src});
+  }
+  for (auto& list : in) std::sort(list.begin(), list.end());
+  for (int64_t v = 0; v < vertex_count; ++v) {
+    const auto id = static_cast<VertexId>(v);
+    const auto got_out = g.OutNeighbors(id);
+    const auto got_in = g.InNeighbors(id);
+    EXPECT_TRUE(std::equal(got_out.begin(), got_out.end(), out[id].begin(),
+                           out[id].end()))
+        << "out-list of " << v;
+    EXPECT_TRUE(std::equal(got_in.begin(), got_in.end(), in[id].begin(),
+                           in[id].end()))
+        << "in-list of " << v;
+  }
+  EXPECT_EQ(g.in_adjacency().data() == g.adjacency().data(), symmetric);
+  EXPECT_EQ(g.in_row_offsets().data() == g.row_offsets().data(), symmetric);
+}
+
+TEST(BuilderTest, MatchesSetReference) {
+  // Seeded random edge lists with duplicates, self-loops and isolated
+  // vertices (endpoints avoid the top third of the range), added through
+  // each entry point and mixes of them.
+  enum class Via { kAddEdge, kSymmetricAddEdge, kUndirected, kBulk, kMixed };
+  for (const int64_t n : {1, 2, 17, 300}) {
+    for (const Via via : {Via::kAddEdge, Via::kSymmetricAddEdge,
+                          Via::kUndirected, Via::kBulk, Via::kMixed}) {
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " via="
+                                          << static_cast<int>(via)
+                                          << " seed=" << seed);
+        Prng prng(seed * 1000 + static_cast<uint64_t>(n));
+        const auto span =
+            static_cast<uint64_t>(std::max<int64_t>(1, n - n / 3));
+        const int64_t adds = static_cast<int64_t>(prng.NextBounded(
+            static_cast<uint64_t>(3 * n + 4)));
+        GraphBuilder builder(n);
+        std::set<std::pair<VertexId, VertexId>> reference;
+        std::vector<Edge> batch;
+        for (int64_t i = 0; i < adds; ++i) {
+          const auto u = static_cast<VertexId>(prng.NextBounded(span));
+          // One add in eight repeats its source: a self-loop.
+          const auto v = prng.NextBounded(8) == 0
+                             ? u
+                             : static_cast<VertexId>(prng.NextBounded(span));
+          Via how = via;
+          if (via == Via::kMixed) {
+            how = static_cast<Via>(prng.NextBounded(4));
+          }
+          switch (how) {
+            case Via::kAddEdge:
+              builder.AddEdge(u, v);
+              reference.insert({u, v});
+              break;
+            case Via::kSymmetricAddEdge:
+              builder.AddEdge(u, v);
+              builder.AddEdge(v, u);
+              reference.insert({u, v});
+              reference.insert({v, u});
+              break;
+            case Via::kUndirected:
+              builder.AddUndirectedEdge(u, v);
+              reference.insert({u, v});
+              reference.insert({v, u});
+              break;
+            default:
+              batch.push_back({u, v});
+              reference.insert({u, v});
+              if (batch.size() == 3 || prng.NextBounded(2) == 0) {
+                builder.AddEdges(batch);
+                batch.clear();
+              }
+          }
+        }
+        builder.AddEdges(batch);
+        auto result = std::move(builder).Build();
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ExpectMatchesReference(result.value(), n, reference);
+      }
+    }
+  }
 }
 
 TEST(CsrTest, ReverseAdjacencyMirrorsForward) {
